@@ -3,44 +3,35 @@
 // Drives the same churn workload (submit a pool of generated applications,
 // remove each one as its admission settles, repeat to a fixed submission
 // count) through service::AdmissionService in three scenarios and writes
-// BENCH_service.json (schema kairos-bench-service-v2) in the bench_perf
+// BENCH_service.json (schema kairos-bench-service-v4) in the bench_perf
 // style: build stamp, per-scenario throughput and settle-latency
 // percentiles (service.latency_ms, measured by the service itself at
-// promise fulfilment), the parallel-vs-serial speedups, and the
-// observability counter totals (commit conflicts, fallbacks, batches,
-// shard/cross-shard commits — the health of the optimistic pipeline, not
-// just its speed).
+// promise fulfilment), the parallel-vs-serial speedup, and the
+// observability counter totals (commit conflicts, fallbacks, batches — the
+// health of the optimistic pipeline, not just its speed).
 //
-//   serial    1 worker thread,  1 shard  — the baseline
-//   parallel  N worker threads, 1 shard  — optimistic concurrency behind
-//                                          one commit lock (pre-shard)
-//   sharded   N worker threads, S shards — per-region commit locks; the v2
-//                                          axis. Records the cross-shard
-//                                          commit ratio and conflict rate,
-//                                          so the artifact shows how much
-//                                          commit serialisation sharding
-//                                          actually removed.
-//   telemetry sharded + the live plane  — tracer armed, a 50 ms
+//   serial    1 worker thread            — the baseline
+//   parallel  N worker threads           — optimistic concurrency behind
+//                                          one commit lock
+//   telemetry parallel + the live plane  — tracer armed, a 50 ms
 //                                          TimeSeriesSampler, the telemetry
 //                                          socket server listening, and a
 //                                          scraper thread hammering
 //                                          /metrics + /healthz throughout.
-//                                          The v3 axis: obs_overhead_pct =
-//                                          throughput lost vs the bare
-//                                          sharded run — the budget is 5%.
+//                                          obs_overhead_pct = throughput
+//                                          lost vs the bare parallel run —
+//                                          the budget is 5%.
 //
 // The speedup is a *capacity* number: staging (the mapping search) runs
 // outside every lock, so it scales with cores until commits saturate. On a
 // single-core runner the configurations time-slice one CPU and the speedup
 // honestly reports ~1x — which is why the JSON records
 // hardware_concurrency and the exit code does not judge the ratio. CI runs
-// `bench_service --smoke --shards 4` for schema honesty and archives the
-// artifact.
+// `bench_service --smoke` for schema honesty and archives the artifact.
 //
-//   usage: bench_service [--smoke] [--threads <n>] [--shards <s>]
-//                        [--out <file>]
+//   usage: bench_service [--smoke] [--threads <n>] [--out <file>]
 //          (default BENCH_service.json; --threads replaces the 8-thread
-//           configuration, --shards the sharded scenario's 4-shard split)
+//           configuration)
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -71,10 +62,9 @@ namespace {
 
 using namespace kairos;
 
-/// Everything one (threads, shards) configuration produced.
+/// Everything one worker-count configuration produced.
 struct ServiceRun {
   int threads = 0;
-  int shards = 0;  ///< actual shard count of the manager's partition
   long submissions = 0;
   long admitted = 0;
   long rejected = 0;
@@ -84,10 +74,7 @@ struct ServiceRun {
   std::int64_t conflicts = 0;
   std::int64_t fallbacks = 0;
   std::int64_t batches = 0;
-  std::int64_t shard_commits = 0;
-  std::int64_t cross_shard_commits = 0;
-  double cross_shard_ratio = 0.0;  ///< of successful optimistic commits
-  double conflict_rate = 0.0;      ///< conflicts per submission
+  double conflict_rate = 0.0;  ///< conflicts per submission
   long scrapes = 0;  ///< telemetry scenario: /metrics + /healthz hits
 };
 
@@ -95,7 +82,7 @@ struct ServiceRun {
 /// deterministic pool, every admitted application removed as soon as its
 /// future settles (so the platform never saturates and the number measures
 /// admission throughput, not capacity).
-bool run_configuration(int threads, int shards, long submissions,
+bool run_configuration(int threads, long submissions,
                        ServiceRun& out, bool with_telemetry = false) {
   out.threads = threads;
   out.submissions = submissions;
@@ -103,9 +90,7 @@ bool run_configuration(int threads, int shards, long submissions,
   platform::Platform crisp = platform::make_crisp_platform();
   core::KairosConfig config;
   config.weights = {4.0, 100.0};
-  config.shards = shards;
   core::ResourceManager manager(crisp, config);
-  out.shards = manager.shard_count();
 
   service::ServiceConfig service_config;
   service_config.threads = threads;
@@ -122,7 +107,7 @@ bool run_configuration(int threads, int shards, long submissions,
   // The telemetry scenario measures the full plane under fire: spans
   // recorded, a fast sampler differencing the registry, the socket server
   // up, and a scraper pulling /metrics + /healthz for the whole run — the
-  // worst realistic monitoring load, priced against the bare sharded run.
+  // worst realistic monitoring load, priced against the bare parallel run.
   obs::TimeSeriesSampler sampler(obs::Registry::global(), {50, 600});
   obs::TelemetryServer telemetry(obs::Registry::global(),
                                  obs::Tracer::global(),
@@ -208,13 +193,6 @@ bool run_configuration(int threads, int shards, long submissions,
   out.conflicts = counter("service.commit_conflicts");
   out.fallbacks = counter("service.fallbacks");
   out.batches = counter("service.batches");
-  out.shard_commits = counter("service.shard_commits");
-  out.cross_shard_commits = counter("service.cross_shard_commits");
-  const std::int64_t optimistic = out.shard_commits + out.cross_shard_commits;
-  if (optimistic > 0) {
-    out.cross_shard_ratio = static_cast<double>(out.cross_shard_commits) /
-                            static_cast<double>(optimistic);
-  }
   if (submissions > 0) {
     out.conflict_rate = static_cast<double>(out.conflicts) /
                         static_cast<double>(submissions);
@@ -226,7 +204,6 @@ bool run_configuration(int threads, int shards, long submissions,
 void write_run_json(obs::JsonWriter& json, const ServiceRun& run) {
   json.begin_object();
   json.kv("threads", static_cast<std::int64_t>(run.threads));
-  json.kv("shards", static_cast<std::int64_t>(run.shards));
   json.kv("submissions", static_cast<std::int64_t>(run.submissions));
   json.kv("admitted", static_cast<std::int64_t>(run.admitted));
   json.kv("rejected", static_cast<std::int64_t>(run.rejected));
@@ -245,16 +222,13 @@ void write_run_json(obs::JsonWriter& json, const ServiceRun& run) {
   json.kv("commit_conflicts", run.conflicts);
   json.kv("fallbacks", run.fallbacks);
   json.kv("batches", run.batches);
-  json.kv("shard_commits", run.shard_commits);
-  json.kv("cross_shard_commits", run.cross_shard_commits);
-  json.kv("cross_shard_ratio", run.cross_shard_ratio);
   json.kv("conflict_rate", run.conflict_rate);
   json.kv("telemetry_scrapes", static_cast<std::int64_t>(run.scrapes));
   json.end_object();
 }
 
 bool write_report(const std::string& path, const ServiceRun& serial,
-                  const ServiceRun& parallel, const ServiceRun& sharded,
+                  const ServiceRun& parallel,
                   const ServiceRun& telemetry, bool smoke) {
   std::ofstream out(path);
   if (!out) {
@@ -263,7 +237,7 @@ bool write_report(const std::string& path, const ServiceRun& serial,
   }
   obs::JsonWriter json(out);
   json.begin_object();
-  json.kv("schema", "kairos-bench-service-v3");
+  json.kv("schema", "kairos-bench-service-v4");
   json.key("build");
   {
     const obs::BuildInfo& build = obs::build_info();
@@ -283,19 +257,16 @@ bool write_report(const std::string& path, const ServiceRun& serial,
   write_run_json(json, serial);
   json.key("parallel");
   write_run_json(json, parallel);
-  json.key("sharded");
-  write_run_json(json, sharded);
   json.key("telemetry");
   write_run_json(json, telemetry);
   json.end_object();
   json.kv("speedup", parallel.admissions_per_sec / serial.admissions_per_sec);
-  json.kv("sharded_speedup",
-          sharded.admissions_per_sec / serial.admissions_per_sec);
   // Throughput the live telemetry plane costs, against the identical bare
   // configuration. Negative values are run-to-run noise.
   json.kv("obs_overhead_pct",
-          100.0 * (sharded.admissions_per_sec - telemetry.admissions_per_sec) /
-              sharded.admissions_per_sec);
+          100.0 *
+              (parallel.admissions_per_sec - telemetry.admissions_per_sec) /
+              parallel.admissions_per_sec);
   json.end_object();
   out << "\n";
   return static_cast<bool>(out);
@@ -306,7 +277,6 @@ bool write_report(const std::string& path, const ServiceRun& serial,
 int main(int argc, char** argv) {
   bool smoke = false;
   int parallel_threads = 8;
-  int sharded_shards = 4;
   std::string out_path = "BENCH_service.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -317,18 +287,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bench_service: --threads must be >= 1\n");
         return 64;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      sharded_shards = std::atoi(argv[++i]);
-      if (sharded_shards < 1) {
-        std::fprintf(stderr, "bench_service: --shards must be >= 1\n");
-        return 64;
-      }
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: bench_service [--smoke] [--threads <n>] "
-                   "[--shards <s>] [--out <file>]\n");
+                   "[--out <file>]\n");
       return 64;
     }
   }
@@ -340,15 +304,15 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
 
   ServiceRun serial;
-  if (!run_configuration(1, 1, submissions, serial)) return 1;
+  if (!run_configuration(1, submissions, serial)) return 1;
   std::printf("  threads=1             : %7.0f admissions/s (p50 %.3f ms, "
               "p95 %.3f ms, p99 %.3f ms)\n",
               serial.admissions_per_sec, serial.latency.p50,
               serial.latency.p95, serial.latency.p99);
 
   ServiceRun parallel;
-  if (!run_configuration(parallel_threads, 1, submissions, parallel)) return 1;
-  std::printf("  threads=%-2d, shards=1  : %7.0f admissions/s (p50 %.3f ms, "
+  if (!run_configuration(parallel_threads, submissions, parallel)) return 1;
+  std::printf("  threads=%-2d            : %7.0f admissions/s (p50 %.3f ms, "
               "p95 %.3f ms, p99 %.3f ms); %lld conflicts, %lld fallbacks\n",
               parallel.threads, parallel.admissions_per_sec,
               parallel.latency.p50, parallel.latency.p95,
@@ -356,28 +320,14 @@ int main(int argc, char** argv) {
               static_cast<long long>(parallel.conflicts),
               static_cast<long long>(parallel.fallbacks));
 
-  ServiceRun sharded;
-  if (!run_configuration(parallel_threads, sharded_shards, submissions,
-                         sharded)) {
-    return 1;
-  }
-  std::printf("  threads=%-2d, shards=%-2d : %7.0f admissions/s (p50 %.3f ms, "
-              "p95 %.3f ms, p99 %.3f ms); %lld conflicts, %lld fallbacks, "
-              "%.0f%% cross-shard\n",
-              sharded.threads, sharded.shards, sharded.admissions_per_sec,
-              sharded.latency.p50, sharded.latency.p95, sharded.latency.p99,
-              static_cast<long long>(sharded.conflicts),
-              static_cast<long long>(sharded.fallbacks),
-              100.0 * sharded.cross_shard_ratio);
-
   ServiceRun telemetry;
-  if (!run_configuration(parallel_threads, sharded_shards, submissions,
-                         telemetry, /*with_telemetry=*/true)) {
+  if (!run_configuration(parallel_threads, submissions, telemetry,
+                         /*with_telemetry=*/true)) {
     return 1;
   }
   const double obs_overhead_pct =
-      100.0 * (sharded.admissions_per_sec - telemetry.admissions_per_sec) /
-      sharded.admissions_per_sec;
+      100.0 * (parallel.admissions_per_sec - telemetry.admissions_per_sec) /
+      parallel.admissions_per_sec;
   std::printf("  + telemetry plane     : %7.0f admissions/s under %ld "
               "scrapes (overhead %.1f%%, budget 5%%)\n",
               telemetry.admissions_per_sec, telemetry.scrapes,
@@ -385,14 +335,12 @@ int main(int argc, char** argv) {
 
   const double speedup =
       parallel.admissions_per_sec / serial.admissions_per_sec;
-  const double sharded_speedup =
-      sharded.admissions_per_sec / serial.admissions_per_sec;
-  std::printf("  speedup: %.2fx single-lock, %.2fx sharded at %d threads "
+  std::printf("  speedup: %.2fx at %d threads "
               "(scales with cores; this machine offers %u)\n",
-              speedup, sharded_speedup, parallel.threads,
+              speedup, parallel.threads,
               std::thread::hardware_concurrency());
 
-  if (!write_report(out_path, serial, parallel, sharded, telemetry, smoke)) {
+  if (!write_report(out_path, serial, parallel, telemetry, smoke)) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());

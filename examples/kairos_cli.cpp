@@ -18,8 +18,8 @@
 //          kairos_cli --sweep [--fault-rate <r>] [--fault-rates <r,r,...>]
 //                     [--defrag-periods <t,t,...>] [--fault-model <spec>]
 //                     [--repair <t>] [--seed <n>] [--mo] [--p95]
-//          kairos_cli --serve [--threads <n>] [--batch <n>] [--shards <n>]
-//                     [--listen <addr>] [--slo p99=<ms>,conflicts=<r>,queue=<d>]
+//          kairos_cli --serve [--threads <n>] [--batch <n>] [--listen <addr>]
+//                     [--slo p99=<ms>,conflicts=<r>,queue=<d>]
 //                     [--mapper <name>] [--platform <file>] [<app-file>...]
 //          kairos_cli --watch <addr> [--watch-iterations <n>]
 //          kairos_cli --health <addr>
@@ -63,8 +63,10 @@
 // cells — and writes Chrome trace-event JSON loadable in Perfetto or
 // chrome://tracing. Both work with every mode.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
@@ -443,8 +445,6 @@ int main(int argc, char** argv) {
   bool serve = false;
   double serve_threads = 4.0;
   double serve_batch = 4.0;
-  double serve_shards = 0.0;  // 0 = auto (one shard per package group)
-  bool shards_given = false;
   std::string listen_spec;
   std::string watch_spec;
   double watch_iterations = 0.0;  // 0 = until the daemon goes away
@@ -507,8 +507,19 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--seed requires a value\n");
         return 64;
       }
-      seed = static_cast<std::uint64_t>(std::strtoull(text.c_str(), nullptr,
-                                                      10));
+      // Strict parse: strtoull alone would read "abc" as 0, "12x" as 12
+      // and "-1" as 2^64-1.
+      errno = 0;
+      const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+      if (text.empty() ||
+          text.find_first_not_of("0123456789") != std::string::npos ||
+          errno == ERANGE) {
+        std::fprintf(stderr,
+                     "--seed must be a whole unsigned decimal, got '%s'\n",
+                     text.c_str());
+        return 64;
+      }
+      seed = static_cast<std::uint64_t>(value);
     } else if (arg == "--sa-full") {
       sa_full = true;
     } else if (arg == "--cancel-bound") {
@@ -583,16 +594,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--batch requires a count\n");
         return 64;
       }
-    } else if (arg == "--shards") {
-      if (!next_value(serve_shards)) {
-        std::fprintf(stderr, "--shards requires a count\n");
-        return 64;
-      }
-      if (!(serve_shards >= 1.0)) {
-        std::fprintf(stderr, "--shards must be >= 1, got %g\n", serve_shards);
-        return 64;
-      }
-      shards_given = true;
     } else if (arg == "--rate") {
       if (!next_value(arrival_rate)) {
         std::fprintf(stderr, "--rate requires a value\n");
@@ -701,7 +702,7 @@ int main(int argc, char** argv) {
                   "[--fault-model spec] [--repair t] [--seed n] [--mo] "
                   "[--p95]\n"
                   "       kairos_cli --serve [--threads n] [--batch n] "
-                  "[--shards n] [--listen addr] "
+                  "[--listen addr] "
                   "[--slo p99=ms,conflicts=r,queue=d] "
                   "[--mapper name] [--platform file] [<app-file>...]\n"
                   "       kairos_cli --watch addr [--watch-iterations n] | "
@@ -1000,20 +1001,6 @@ int main(int argc, char** argv) {
               platform.link_count());
 
   if (serve) {
-    if (shards_given) {
-      config.shards = static_cast<int>(serve_shards);
-      const int groups = platform::ShardMap::package_group_count(platform);
-      if (config.shards > groups) {
-        // More locks than natural regions just splits packages mid-group:
-        // legal (commits stay correct), but the extra shards mostly add
-        // cross-shard footprints, not concurrency.
-        std::fprintf(stderr,
-                     "warning: --shards %d exceeds the platform's %d package "
-                     "group(s); extra shards split packages and raise the "
-                     "cross-shard commit ratio\n",
-                     config.shards, groups);
-      }
-    }
     return run_serve(platform, std::move(config),
                      static_cast<int>(serve_threads),
                      static_cast<int>(serve_batch), app_paths, listen_spec,

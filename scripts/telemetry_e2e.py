@@ -207,10 +207,6 @@ def phase_tcp(cli):
             "kairos_service_admissions_total" in body,
             "admissions counter missing from /metrics",
         )
-        require(
-            re.search(r'kairos_service_commits_total\{shard="\d+"\}', body),
-            "per-shard commit family missing from /metrics",
-        )
         print(f"  /metrics ok ({samples} samples, {families} families)")
 
         # /healthz under generous SLOs: 200 ok.

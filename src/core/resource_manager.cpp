@@ -54,15 +54,6 @@ ResourceManager::ResourceManager(platform::Platform& platform,
         MapperConfig{config_.weights, config_.bonuses, config_.extra_rings,
                      config_.exact_knapsack});
   }
-  shard_map_ = config_.shards >= 1
-                   ? platform::ShardMap::uniform(platform.element_count(),
-                                                 config_.shards)
-                   : platform::ShardMap::by_package(platform);
-  // Install the partition on the platform so its availability index (and
-  // every snapshot's) classifies by the same map as the commit locks.
-  platform_->set_shard_map(shard_map_);
-  shard_mutexes_ = std::make_unique<std::mutex[]>(
-      static_cast<std::size_t>(shard_map_->shard_count()));
 }
 
 void ResourceManager::set_mapper(std::shared_ptr<mappers::Mapper> mapper) {
@@ -253,57 +244,16 @@ AdmissionReport ResourceManager::register_live_locked(
   live.app = std::move(staged.app);
   live.task_allocations = std::move(staged.task_allocations);
   live.routes = std::move(staged.routes);
-  {
-    // Innermost lock; uncontended under state(X), real exclusion under the
-    // sharded state(S) commit path.
-    const std::unique_lock<std::shared_mutex> lock(live_mutex_);
-    report.handle = next_handle_++;
-    live_[report.handle] = std::move(live);
-  }
+  report.handle = next_handle_++;
+  live_[report.handle] = std::move(live);
   AdmissionMetrics::get().admitted.add(1);
   return report;
 }
 
 platform::Platform ResourceManager::snapshot_platform() const {
-  const std::shared_lock<std::shared_mutex> state(state_mutex_);
-  // All shard locks (ascending): the copy observes no commit half-applied,
-  // while commits on different shards still run concurrently with each
-  // other. State is held shared, so snapshots don't serialize admissions
-  // the way the old single write lock did.
-  const int shards = shard_map_->shard_count();
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    locks.emplace_back(shard_mutexes_[static_cast<std::size_t>(s)]);
-  }
+  // Shared: snapshots overlap each other, but never a commit in flight.
+  const std::shared_lock<std::shared_mutex> lock(state_mutex_);
   return *platform_;
-}
-
-std::vector<int> ResourceManager::footprint_of(
-    const std::vector<std::pair<platform::ElementId,
-                                platform::ResourceVector>>& allocations,
-    const std::vector<std::pair<noc::Route, std::int64_t>>& routes) const {
-  std::vector<int> shards;
-  for (const auto& [element, demand] : allocations) {
-    (void)demand;
-    shards.push_back(shard_map_->shard_of(element));
-  }
-  for (const auto& [route, bandwidth] : routes) {
-    (void)bandwidth;
-    for (const platform::LinkId l : route.links) {
-      const platform::Link& link = platform_->link(l);
-      shards.push_back(shard_map_->shard_of(link.src()));
-      shards.push_back(shard_map_->shard_of(link.dst()));
-    }
-  }
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  return shards;
-}
-
-std::vector<int> ResourceManager::shard_footprint(
-    const StagedAdmission& staged) const {
-  return footprint_of(staged.task_allocations, staged.routes);
 }
 
 util::Result<AdmissionReport> ResourceManager::commit_staged(
@@ -312,17 +262,7 @@ util::Result<AdmissionReport> ResourceManager::commit_staged(
     return util::Error("cannot commit a staging that was not admitted (" +
                        staged.report.reason + ")");
   }
-  const std::shared_lock<std::shared_mutex> state(state_mutex_);
-  // Lock exactly the staged footprint, ascending. Any other commit or
-  // sharded remove touching one of these resources shares a shard with it
-  // (links pull in both endpoints), so within the footprint we have
-  // exclusive ownership; everything outside it stays concurrent.
-  const std::vector<int> footprint = shard_footprint(staged);
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(footprint.size());
-  for (const int s : footprint) {
-    locks.emplace_back(shard_mutexes_[static_cast<std::size_t>(s)]);
-  }
+  const std::unique_lock<std::shared_mutex> lock(state_mutex_);
 
   // Phase 1 — validate, no mutation. Between the snapshot and now other
   // commits may have taken the capacity or a fault may have landed.
@@ -381,7 +321,7 @@ util::Result<AdmissionReport> ResourceManager::commit_staged(
 
   // Phase 2 — apply. Validation was exhaustive, so these cannot fail; the
   // undo list is the all-or-nothing backstop should that invariant ever
-  // break (a failed apply must not leave the other shards half-committed).
+  // break (a failed apply must not leave the commit half-applied).
   std::vector<std::pair<platform::ElementId, platform::ResourceVector>> undo;
   undo.reserve(staged.task_allocations.size());
   bool applied = true;
@@ -407,7 +347,7 @@ util::Result<AdmissionReport> ResourceManager::commit_staged(
     }
   }
   if (!applied) {
-    assert(false && "sharded commit: validation admitted an unappliable set");
+    assert(false && "commit: validation admitted an unappliable set");
     for (std::size_t i = link_undo.size(); i-- > 0;) {
       platform_->release_channel(link_undo[i].first, link_undo[i].second);
     }
@@ -421,42 +361,8 @@ util::Result<AdmissionReport> ResourceManager::commit_staged(
 }
 
 util::VoidResult ResourceManager::remove(AppHandle handle) {
-  const std::shared_lock<std::shared_mutex> state(state_mutex_);
-  // Extract the victim under the live lock, then RELEASE it before taking
-  // shard locks (live_mutex_ is innermost — holding it across a shard
-  // acquisition would invert the order against committers). Once extracted
-  // the app is invisible to every other path, so its reservations are ours
-  // alone to release.
-  LiveApp victim;
-  {
-    const std::unique_lock<std::shared_mutex> live(live_mutex_);
-    const auto it = live_.find(handle);
-    if (it == live_.end()) {
-      return util::Error("unknown application handle " +
-                         std::to_string(handle));
-    }
-    victim = std::move(it->second);
-    live_.erase(it);
-  }
-  const std::vector<int> footprint =
-      footprint_of(victim.task_allocations, victim.routes);
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(footprint.size());
-  for (const int s : footprint) {
-    locks.emplace_back(shard_mutexes_[static_cast<std::size_t>(s)]);
-  }
-  release_resources(victim);
-  return util::VoidResult::success();
-}
-
-void ResourceManager::release_resources(const LiveApp& app) {
-  for (const auto& [element, demand] : app.task_allocations) {
-    platform_->release(element, demand);
-    platform_->remove_task(element);
-  }
-  for (const auto& [route, bandwidth] : app.routes) {
-    noc::Router::release_route(*platform_, route, bandwidth);
-  }
+  const std::unique_lock<std::shared_mutex> lock(state_mutex_);
+  return remove_locked(handle);
 }
 
 util::VoidResult ResourceManager::remove_locked(AppHandle handle) {
@@ -465,7 +371,13 @@ util::VoidResult ResourceManager::remove_locked(AppHandle handle) {
     return util::Error("unknown application handle " +
                        std::to_string(handle));
   }
-  release_resources(it->second);
+  for (const auto& [element, demand] : it->second.task_allocations) {
+    platform_->release(element, demand);
+    platform_->remove_task(element);
+  }
+  for (const auto& [route, bandwidth] : it->second.routes) {
+    noc::Router::release_route(*platform_, route, bandwidth);
+  }
   live_.erase(it);
   assert(platform_->invariants_hold());
   return util::VoidResult::success();
@@ -473,8 +385,7 @@ util::VoidResult ResourceManager::remove_locked(AppHandle handle) {
 
 std::vector<AppHandle> ResourceManager::apps_using(
     platform::ElementId e) const {
-  const std::shared_lock<std::shared_mutex> state(state_mutex_);
-  const std::shared_lock<std::shared_mutex> live(live_mutex_);
+  const std::shared_lock<std::shared_mutex> lock(state_mutex_);
   return apps_using_locked(e);
 }
 
@@ -494,8 +405,7 @@ std::vector<AppHandle> ResourceManager::apps_using_locked(
 
 std::vector<AppHandle> ResourceManager::apps_using_link(
     platform::LinkId l) const {
-  const std::shared_lock<std::shared_mutex> state(state_mutex_);
-  const std::shared_lock<std::shared_mutex> live(live_mutex_);
+  const std::shared_lock<std::shared_mutex> lock(state_mutex_);
   return apps_using_link_locked(l);
 }
 
@@ -517,8 +427,7 @@ std::vector<AppHandle> ResourceManager::apps_using_link_locked(
 
 std::vector<std::pair<platform::ElementId, platform::ResourceVector>>
 ResourceManager::allocations_of(AppHandle handle) const {
-  const std::shared_lock<std::shared_mutex> state(state_mutex_);
-  const std::shared_lock<std::shared_mutex> live(live_mutex_);
+  const std::shared_lock<std::shared_mutex> lock(state_mutex_);
   const auto it = live_.find(handle);
   if (it == live_.end()) return {};
   return it->second.task_allocations;
@@ -689,8 +598,7 @@ ResourceManager::DefragReport ResourceManager::defragment() {
 }
 
 std::vector<AppHandle> ResourceManager::live_handles() const {
-  const std::shared_lock<std::shared_mutex> state(state_mutex_);
-  const std::shared_lock<std::shared_mutex> live(live_mutex_);
+  const std::shared_lock<std::shared_mutex> lock(state_mutex_);
   std::vector<AppHandle> out;
   out.reserve(live_.size());
   for (const auto& [handle, _] : live_) out.push_back(handle);

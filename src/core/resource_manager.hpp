@@ -25,46 +25,23 @@
 // including the exact sequence of platform mutations the regression pins
 // depend on — is unchanged.
 //
-// Sharded commits (PR 9). The allocation state is partitioned by a
-// platform::ShardMap (default: one shard per package group; KairosConfig::
-// shards overrides with a uniform split) and commit/remove take only the
-// per-shard mutexes their footprint touches, so commits on disjoint shards
-// run concurrently instead of serializing on one write lock. The protocol,
-// in lock order (state -> shards -> live; shard mutexes always in ascending
-// shard-id order, which makes deadlock impossible):
+// Locking: one state_mutex_ (shared_mutex) guards the allocation state and
+// the live-application bookkeeping. It is EXCLUSIVE for every mutation —
+// admit, commit_staged, remove and the whole-platform flows (defragment,
+// circumvent_*, repair_*, set_mapper) — and SHARED for snapshot_platform
+// and the read surfaces, so snapshots and reads overlap each other but never
+// observe a commit half-applied.
 //
-//   * state_mutex_ (shared_mutex) — EXCLUSIVE for the whole-platform flows
-//     (admit, defragment, circumvent_*, repair_*, set_mapper): they mutate
-//     arbitrary state and live bookkeeping with no further locks, exactly
-//     the pre-shard behaviour. SHARED for everything else: sharded
-//     commit_staged / remove, the read surfaces, snapshot_platform. Holding
-//     it shared says "only shard-scoped mutation is in flight".
-//   * shard mutexes (plain mutex, one per shard) — a sharded commit or
-//     remove locks its footprint (ascending); a link belongs to both of its
-//     endpoints' shards, so any two commits touching a resource share a
-//     lock. snapshot_platform locks ALL shards (still shared on state), so
-//     snapshots are consistent without blocking disjoint commits from each
-//     other. Single-shard footprints touch exactly one mutex.
-//   * live_mutex_ (shared_mutex, innermost) — guards live_/next_handle_.
-//     Read surfaces take state(S)+live(S); commit registration takes
-//     live(X) while still holding its shard locks; sharded remove takes
-//     live(X) only to extract the victim, releases it, then locks shards.
-//     Exclusive-state flows skip it: state(X) already excludes every other
-//     live_ toucher.
-//
-// commit_staged itself is two-phase: under its shard locks it first
-// validates the entire staged footprint (cumulative per-element demand,
-// per-link vc+bandwidth — no mutation), then applies; an apply step that
-// still fails unwinds the undo list so a conflict never leaves partial
-// state. With one shard the protocol degenerates to the previous
-// single-lock behaviour.
+// commit_staged itself is two-phase: it first validates the entire staged
+// footprint (cumulative per-element demand, per-link vc+bandwidth — no
+// mutation), then applies; an apply step that still fails unwinds the undo
+// list so a conflict never leaves partial state.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -177,12 +154,6 @@ struct KairosConfig {
   /// Skip the validation phase entirely (saves its runtime).
   bool validation_enabled = true;
   ValidationConfig validation{};
-  /// Commit-lock sharding: 0 (default) derives one shard per package group
-  /// from the platform (ShardMap::by_package — a single shard on platforms
-  /// without package structure); N >= 1 forces a uniform N-way split of the
-  /// element-id space. shards = 1 reproduces the pre-shard single-lock
-  /// behaviour exactly.
-  int shards = 0;
 };
 
 class ResourceManager {
@@ -226,28 +197,12 @@ class ResourceManager {
   /// staged reservation still fits (capacity re-checked, fault state
   /// re-checked); books the application and returns the report with its
   /// handle assigned. Returns an error — with the platform untouched — on a
-  /// conflict, or when `staged` was not admitted. Holds only the shard
-  /// locks of the staged footprint, so commits on disjoint shards proceed
-  /// concurrently (see the locking protocol in the file comment).
+  /// conflict, or when `staged` was not admitted. Holds the write lock only
+  /// for the re-validation and apply.
   util::Result<AdmissionReport> commit_staged(StagedAdmission staged);
 
-  // --- sharding ------------------------------------------------------------
-
-  int shard_count() const { return shard_map_->shard_count(); }
-  std::shared_ptr<const platform::ShardMap> shard_map() const {
-    return shard_map_;
-  }
-
-  /// The sorted, deduplicated shard ids a staged admission's reservations
-  /// touch: the shards of every placed task's element plus both endpoints
-  /// of every routed link. These are exactly the commit locks
-  /// commit_staged() will take; the service uses the footprint to requeue
-  /// conflicting batches per-shard.
-  std::vector<int> shard_footprint(const StagedAdmission& staged) const;
-
   std::size_t live_count() const {
-    const std::shared_lock<std::shared_mutex> state(state_mutex_);
-    const std::shared_lock<std::shared_mutex> live(live_mutex_);
+    const std::shared_lock<std::shared_mutex> lock(state_mutex_);
     return live_.size();
   }
   std::vector<AppHandle> live_handles() const;
@@ -352,29 +307,16 @@ class ResourceManager {
   };
 
   // Unlocked implementations, called with state_mutex_ already held
-  // exclusively (shared_mutex is not recursive, so locked public methods
-  // must not call each other).
+  // (shared_mutex is not recursive, so locked public methods must not call
+  // each other).
   AdmissionReport admit_locked(const graph::Application& app);
   util::VoidResult remove_locked(AppHandle handle);
   std::vector<AppHandle> apps_using_locked(platform::ElementId e) const;
   std::vector<AppHandle> apps_using_link_locked(platform::LinkId l) const;
   /// Books a staged admission as live: assigns the handle, stores the
   /// LiveApp, counts the admission. The staged reservations must already be
-  /// present in the live platform. Takes live_mutex_ exclusively itself
-  /// (innermost, so safe under state(X) or state(S)+shard locks).
+  /// present in the live platform; the write lock must be held.
   AdmissionReport register_live_locked(StagedAdmission&& staged);
-
-  /// Sorted, deduplicated shard ids of a reservation set (elements plus
-  /// both endpoints of every routed link).
-  std::vector<int> footprint_of(
-      const std::vector<std::pair<platform::ElementId,
-                                  platform::ResourceVector>>& allocations,
-      const std::vector<std::pair<noc::Route, std::int64_t>>& routes) const;
-
-  /// Releases every platform reservation of `app` (elements, tasks,
-  /// routes). Caller must hold locks covering the footprint — either
-  /// state(X), or state(S) plus the footprint's shard mutexes.
-  void release_resources(const LiveApp& app);
 
   /// Shared tail of the fault-circumvention flows: evicts `victims` (which
   /// must all be live), lets `mark_failed` flip the platform's fault state,
@@ -384,19 +326,10 @@ class ResourceManager {
       const std::vector<AppHandle>& victims,
       const std::function<void()>& mark_failed, FaultReport& report);
 
-  /// Outermost lock: exclusive for whole-platform flows, shared for
-  /// shard-scoped mutation and reads (see the protocol in the file
-  /// comment). The immutable topology (elements, links, hop distances)
+  /// Exclusive for every mutation, shared for snapshots and reads (see the
+  /// file comment). The immutable topology (elements, links, hop distances)
   /// needs no lock; stage() reads it through a private snapshot anyway.
   mutable std::shared_mutex state_mutex_;
-  /// Innermost lock: guards live_ and next_handle_ for the shared-state
-  /// paths. Exclusive-state flows rely on state(X) instead.
-  mutable std::shared_mutex live_mutex_;
-  /// The partition behind the shard locks; shared with the platform (and
-  /// through it every snapshot), so footprints agree everywhere.
-  std::shared_ptr<const platform::ShardMap> shard_map_;
-  /// One commit lock per shard, always acquired in ascending shard order.
-  std::unique_ptr<std::mutex[]> shard_mutexes_;
   platform::Platform* platform_;
   KairosConfig config_;
   std::map<AppHandle, LiveApp> live_;

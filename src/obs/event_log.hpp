@@ -1,6 +1,6 @@
 // Structured event logging: the third leg of the observability plane next
 // to metrics (aggregates) and spans (timings). One LogEvent is a discrete
-// thing that *happened* — request submitted, commit conflicted on shard 3,
+// thing that *happened* — request submitted, commit conflicted on retry 2,
 // SLO breached — with a level, a component, free-form key/value fields and
 // the admission-service request id of the surrounding RequestScope, so one
 // request's journey is greppable across metrics, trace JSON and log.

@@ -1,9 +1,7 @@
 #include "obs/exposition.hpp"
 
 #include <cctype>
-#include <map>
 #include <sstream>
-#include <vector>
 
 namespace kairos::obs {
 
@@ -21,31 +19,12 @@ std::string sanitize(const std::string& name) {
   return out;
 }
 
-/// Splits the registry's "<base>.shard.<k>" label convention. Returns the
-/// family name (sanitized base) and sets `label` to the shard token; names
-/// without the convention come back unchanged with an empty label.
-std::string split_shard_label(const std::string& name, std::string& label) {
-  const std::string marker = ".shard.";
-  const auto at = name.rfind(marker);
-  if (at == std::string::npos) {
-    label.clear();
-    return sanitize(name);
-  }
-  label = name.substr(at + marker.size());
-  return sanitize(name.substr(0, at));
-}
-
 void write_number(std::ostringstream& out, double value) {
   // OpenMetrics numbers must be finite decimals; the registry can only hold
   // finite values (JsonWriter clamps too), but clamp defensively.
   if (value != value || value > 1e308 || value < -1e308) value = 0.0;
   out << value;
 }
-
-struct Sample {
-  std::string label;  ///< shard token, empty = unlabelled
-  double value = 0.0;
-};
 
 }  // namespace
 
@@ -56,44 +35,19 @@ const char* openmetrics_content_type() {
 std::string render_openmetrics(const MetricsSnapshot& snapshot) {
   std::ostringstream out;
 
-  // Group counters and gauges into families so the shard-labelled series
-  // share one # TYPE declaration.
-  std::map<std::string, std::vector<Sample>> counter_families;
   for (const auto& [name, value] : snapshot.counters) {
-    std::string label;
-    const std::string family = split_shard_label(name, label);
-    counter_families[family].push_back({label, static_cast<double>(value)});
-  }
-  std::map<std::string, std::vector<Sample>> gauge_families;
-  for (const auto& [name, value] : snapshot.gauges) {
-    std::string label;
-    const std::string family = split_shard_label(name, label);
-    gauge_families[family].push_back({label, value});
-  }
-
-  for (const auto& [family, samples] : counter_families) {
+    const std::string family = sanitize(name);
     out << "# TYPE " << family << " counter\n";
-    for (const Sample& sample : samples) {
-      out << family << "_total";
-      if (!sample.label.empty()) {
-        out << "{shard=\"" << sample.label << "\"}";
-      }
-      out << " ";
-      write_number(out, sample.value);
-      out << "\n";
-    }
+    out << family << "_total ";
+    write_number(out, static_cast<double>(value));
+    out << "\n";
   }
-  for (const auto& [family, samples] : gauge_families) {
+  for (const auto& [name, value] : snapshot.gauges) {
+    const std::string family = sanitize(name);
     out << "# TYPE " << family << " gauge\n";
-    for (const Sample& sample : samples) {
-      out << family;
-      if (!sample.label.empty()) {
-        out << "{shard=\"" << sample.label << "\"}";
-      }
-      out << " ";
-      write_number(out, sample.value);
-      out << "\n";
-    }
+    out << family << " ";
+    write_number(out, value);
+    out << "\n";
   }
   for (const auto& [name, h] : snapshot.histograms) {
     const std::string family = sanitize(name);

@@ -5,11 +5,6 @@
 //   * names are prefixed "kairos_" and every character outside
 //     [a-zA-Z0-9_:] becomes '_' ("service.latency_ms" ->
 //     "kairos_service_latency_ms");
-//   * the registry's per-shard label convention "<base>.shard.<k>"
-//     (metrics.hpp, "Label policy") becomes a real exposition label:
-//     service.commit_conflicts.shard.3 ->
-//     kairos_service_commit_conflicts_total{shard="3"} — so the family
-//     stays ONE time series family however many shards exist;
 //   * counters gain the OpenMetrics-mandated "_total" sample suffix,
 //     gauges expose as-is, histograms render as summaries (quantile 0.5 /
 //     0.95 / 0.99 samples plus _count and _sum).

@@ -24,20 +24,10 @@
 // the program's lifetime. Registry::reset() zeroes values in place (bench /
 // test isolation) without invalidating handles.
 //
-// Label policy. The registry itself is label-free — a metric is one named
-// cell — but per-entity families use the dotted convention
-// "<base>.shard.<k>", which the OpenMetrics exposition (obs/exposition.hpp)
-// renders as one family with a {shard="k"} label. Cardinality is the
-// emitter's responsibility and must be bounded up front: an emitter keyed
-// by something platform-sized (shards, elements) creates exact cells only
-// for a small fixed prefix of keys and aggregates the remainder into the
-// single "<base>.shard.other" cell (see
-// service::AdmissionService::kMaxShardMetricLabels). The cap keeps
-// registry memory, snapshot cost and scrape size O(1) in platform size, at
-// the price of per-key resolution in the tail — acceptable because the tail
-// only exists on platforms sharded wider than any dashboard would chart.
-// Never mint cells from unbounded, user-controlled strings (app names,
-// request ids): those belong in log-event fields or span args, not metric
+// Label policy. The registry is label-free — a metric is one named cell —
+// and the exposition renders every cell as its own unlabelled family. Never
+// mint cells from unbounded or platform-sized keys (app names, request ids,
+// element ids): those belong in log-event fields or span args, not metric
 // names.
 #pragma once
 

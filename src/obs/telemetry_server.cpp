@@ -185,7 +185,6 @@ void TelemetryServer::on_close(net::Conn& conn) {
 std::string TelemetryServer::render_summary() const {
   const HealthReport report = health();
   const TimeSeriesPoint window = sampler_.window(options_.health_window);
-  const std::vector<std::string> labels = sampler_.shard_labels();
 
   std::ostringstream out;
   out << "status " << to_string(report.status);
@@ -200,11 +199,6 @@ std::string TelemetryServer::render_summary() const {
       << "\n";
   out << "queue_depth " << format_fixed(window.queue_depth) << "\n";
   out << "p99_latency_ms " << format_fixed(window.p99_latency_ms) << "\n";
-  for (std::size_t i = 0; i < window.shard_commit_share.size(); ++i) {
-    const std::string label = i < labels.size() ? labels[i] : "?";
-    out << "shard_share." << label << " "
-        << format_fixed(100.0 * window.shard_commit_share[i]) << "%\n";
-  }
   for (const HealthCheck& c : report.checks) {
     if (!c.breached) continue;
     out << "breach " << c.name << " " << format_fixed(c.value) << " > "

@@ -10,8 +10,6 @@ namespace kairos::obs {
 
 namespace {
 
-constexpr const char* kShardCommitPrefix = "service.commits.shard.";
-
 double rate_per_sec(std::int64_t delta, double dt_ms) {
   if (dt_ms <= 0.0 || delta <= 0) return 0.0;
   return static_cast<double>(delta) * 1000.0 / dt_ms;
@@ -82,27 +80,6 @@ void TimeSeriesSampler::sample_locked() {
   state.rejections = counter_of("service.rejections");
   state.conflicts = counter_of("service.commit_conflicts");
 
-  // Per-shard commit counters; newly seen labels append a column.
-  state.shard_commits.assign(shard_labels_.size(), 0);
-  const std::string prefix = kShardCommitPrefix;
-  for (auto it = snapshot.counters.lower_bound(prefix);
-       it != snapshot.counters.end() && it->first.compare(0, prefix.size(),
-                                                          prefix) == 0;
-       ++it) {
-    const std::string label = it->first.substr(prefix.size());
-    auto at = std::find(shard_labels_.begin(), shard_labels_.end(), label);
-    std::size_t index;
-    if (at == shard_labels_.end()) {
-      index = shard_labels_.size();
-      shard_labels_.push_back(label);
-      state.shard_commits.push_back(0);
-      last_.shard_commits.push_back(0);
-    } else {
-      index = static_cast<std::size_t>(at - shard_labels_.begin());
-    }
-    state.shard_commits[index] = it->second;
-  }
-
   if (primed_) {
     TimeSeriesPoint point;
     point.t_ms = t_ms;
@@ -120,22 +97,6 @@ void TimeSeriesSampler::sample_locked() {
     point.p99_latency_ms =
         hist_it == snapshot.histograms.end() ? 0.0 : hist_it->second.p99;
 
-    std::int64_t window_commits = 0;
-    std::vector<std::int64_t> deltas(state.shard_commits.size(), 0);
-    for (std::size_t i = 0; i < state.shard_commits.size(); ++i) {
-      const std::int64_t prev =
-          i < last_.shard_commits.size() ? last_.shard_commits[i] : 0;
-      deltas[i] = std::max<std::int64_t>(0, state.shard_commits[i] - prev);
-      window_commits += deltas[i];
-    }
-    if (window_commits > 0) {
-      point.shard_commit_share.resize(deltas.size());
-      for (std::size_t i = 0; i < deltas.size(); ++i) {
-        point.shard_commit_share[i] =
-            static_cast<double>(deltas[i]) / static_cast<double>(window_commits);
-      }
-    }
-
     while (ring_.size() >= config_.capacity && !ring_.empty()) {
       ring_.pop_front();
     }
@@ -145,11 +106,6 @@ void TimeSeriesSampler::sample_locked() {
   last_ = std::move(state);
   last_t_ms_ = t_ms;
   primed_ = true;
-}
-
-std::vector<std::string> TimeSeriesSampler::shard_labels() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return shard_labels_;
 }
 
 std::vector<TimeSeriesPoint> TimeSeriesSampler::series() const {
@@ -174,7 +130,7 @@ TimeSeriesPoint TimeSeriesSampler::window(std::size_t last_n) const {
     conflicts += p.conflicts_per_sec * p.dt_ms / 1000.0;
   }
 
-  TimeSeriesPoint out = ring_.back();  // queue depth / p99 / shares: newest
+  TimeSeriesPoint out = ring_.back();  // queue depth / p99: newest
   out.dt_ms = span_ms;
   if (span_ms > 0.0) {
     out.admissions_per_sec = admissions * 1000.0 / span_ms;
@@ -185,13 +141,7 @@ TimeSeriesPoint TimeSeriesSampler::window(std::size_t last_n) const {
 }
 
 void TimeSeriesSampler::write_json(std::ostream& out) const {
-  std::vector<TimeSeriesPoint> points;
-  std::vector<std::string> labels;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    points.assign(ring_.begin(), ring_.end());
-    labels = shard_labels_;
-  }
+  const std::vector<TimeSeriesPoint> points = series();
   JsonWriter json(out);
   json.begin_object();
   json.kv("interval_ms", static_cast<std::int64_t>(config_.interval_ms));
@@ -206,15 +156,6 @@ void TimeSeriesSampler::write_json(std::ostream& out) const {
     json.kv("conflicts_per_sec", p.conflicts_per_sec);
     json.kv("queue_depth", p.queue_depth);
     json.kv("p99_latency_ms", p.p99_latency_ms);
-    if (!p.shard_commit_share.empty()) {
-      json.key("shard_commit_share");
-      json.begin_object();
-      for (std::size_t i = 0; i < p.shard_commit_share.size(); ++i) {
-        const std::string label = i < labels.size() ? labels[i] : "?";
-        json.kv(label, p.shard_commit_share[i]);
-      }
-      json.end_object();
-    }
     json.end_object();
   }
   json.end_array();

@@ -15,9 +15,6 @@
 //                                          cannot be differenced; /healthz
 //                                          documents this as
 //                                          since-process-start p99)
-//   service.commits.shard.<k|other>     -> per-shard share of the window's
-//                                          commits (the co-placement /
-//                                          contention picture)
 //
 // Under -DKAIROS_NO_OBS=ON the sampler is a no-op: start() does nothing,
 // series() is empty, window() reports zeros — and /healthz degrades to
@@ -26,7 +23,6 @@
 
 #include <cstddef>
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -51,9 +47,6 @@ struct TimeSeriesPoint {
   double conflicts_per_sec = 0.0;
   double queue_depth = 0.0;     ///< gauge at sample time
   double p99_latency_ms = 0.0;  ///< cumulative, since process start
-  /// Share of this window's optimistic commits per shard label (parallel
-  /// to shard_labels); empty when no shard commit counters exist.
-  std::vector<double> shard_commit_share;
 };
 
 struct TimeSeriesConfig {
@@ -81,11 +74,6 @@ class TimeSeriesSampler {
   /// usable instead of start() when the caller has its own scheduler).
   void sample_now();
 
-  /// Shard labels of shard_commit_share's columns ("0", "1", ..., "other").
-  /// The set grows as new shard counters appear in the registry; existing
-  /// columns never move, so older (shorter) points stay aligned.
-  std::vector<std::string> shard_labels() const;
-
   /// Snapshot of the ring, oldest first.
   std::vector<TimeSeriesPoint> series() const;
 
@@ -103,7 +91,6 @@ class TimeSeriesSampler {
     std::int64_t admissions = 0;
     std::int64_t rejections = 0;
     std::int64_t conflicts = 0;
-    std::vector<std::int64_t> shard_commits;
   };
 
   void loop();
@@ -115,7 +102,6 @@ class TimeSeriesSampler {
 
   mutable std::mutex mutex_;
   std::deque<TimeSeriesPoint> ring_;
-  std::vector<std::string> shard_labels_;
   CounterState last_;
   double last_t_ms_ = 0.0;
   bool primed_ = false;  ///< first sample only primes the deltas
@@ -140,7 +126,6 @@ class TimeSeriesSampler {
   void stop() {}
   bool running() const { return false; }
   void sample_now() {}
-  std::vector<std::string> shard_labels() const { return {}; }
   std::vector<TimeSeriesPoint> series() const { return {}; }
   TimeSeriesPoint window(std::size_t) const { return {}; }
   void write_json(std::ostream& out) const {

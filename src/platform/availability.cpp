@@ -39,8 +39,6 @@ ResourceVector component_min(const ResourceVector& a, const ResourceVector& b) {
 
 void AvailabilityIndex::rebuild(const Platform& platform) {
   members_ = platform.type_members();
-  map_ = platform.shard_map();
-  shard_count_ = map_->shard_count();
   const std::size_t n = platform.element_count();
   free_.resize(n);
   failed_.resize(n);
@@ -53,65 +51,50 @@ void AvailabilityIndex::rebuild(const Platform& platform) {
     type_[i] = static_cast<std::uint8_t>(el.type());
   }
 
-  trees_.resize(static_cast<std::size_t>(shard_count_) * kElementTypeCount);
-  sums_.resize(trees_.size());
   for (std::size_t k = 0; k < kElementTypeCount; ++k) {
     const std::vector<ElementId>& members = members_->of[k];
-    // Members are in ascending id order and shards are ascending contiguous
-    // id ranges, so each shard owns one contiguous subrange of `members`.
-    std::size_t cursor = 0;
-    for (int s = 0; s < shard_count_; ++s) {
-      const std::size_t begin = cursor;
-      const auto last = map_->region(s).second;
-      while (cursor < members.size() && members[cursor].value < last) ++cursor;
-      const std::size_t count = cursor - begin;
-      Tree& tree = trees_[slab(s, k)];
-      ResourceVector& sum = sums_[slab(s, k)];
-      sum = ResourceVector{};
-      tree.members_begin = static_cast<std::int32_t>(begin);
-      if (count == 0) {
-        tree.base = 0;
-        tree.maxv.clear();
-        tree.minv.clear();
-        tree.avail.clear();
-        continue;
-      }
-      tree.base = std::bit_ceil(count);
-      tree.maxv.resize(2 * tree.base);
-      tree.minv.resize(2 * tree.base);
-      tree.avail.resize(2 * tree.base);
-      // Node 0 is unused; pin it so pooled rebuilds stay bit-comparable.
-      tree.maxv[0] = ResourceVector{};
-      tree.minv[0] = ResourceVector{};
-      tree.avail[0] = 0;
-      for (std::size_t i = 0; i < tree.base; ++i) {
-        const std::size_t node = tree.base + i;
-        if (i < count) {
-          const auto idx = static_cast<std::size_t>(members[begin + i].value);
-          slot_[idx] = static_cast<std::int32_t>(i);
-          if (failed_[idx]) {
-            tree.maxv[node] = kNothingFits;
-            tree.minv[node] = kNeverShortcuts;
-            tree.avail[node] = 0;
-          } else {
-            tree.maxv[node] = free_[idx];
-            tree.minv[node] = free_[idx];
-            tree.avail[node] = 1;
-            sum += free_[idx];
-          }
-        } else {
+    Tree& tree = trees_[k];
+    sums_[k] = ResourceVector{};
+    if (members.empty()) {
+      tree.base = 0;
+      tree.maxv.clear();
+      tree.minv.clear();
+      tree.avail.clear();
+      continue;
+    }
+    tree.base = std::bit_ceil(members.size());
+    tree.maxv.resize(2 * tree.base);
+    tree.minv.resize(2 * tree.base);
+    tree.avail.resize(2 * tree.base);
+    // Node 0 is unused; pin it so pooled rebuilds stay bit-comparable.
+    tree.maxv[0] = ResourceVector{};
+    tree.minv[0] = ResourceVector{};
+    tree.avail[0] = 0;
+    for (std::size_t s = 0; s < tree.base; ++s) {
+      const std::size_t node = tree.base + s;
+      if (s < members.size()) {
+        const auto idx = static_cast<std::size_t>(members[s].value);
+        slot_[idx] = static_cast<std::int32_t>(s);
+        if (failed_[idx]) {
           tree.maxv[node] = kNothingFits;
           tree.minv[node] = kNeverShortcuts;
           tree.avail[node] = 0;
+        } else {
+          tree.maxv[node] = free_[idx];
+          tree.minv[node] = free_[idx];
+          tree.avail[node] = 1;
+          sums_[k] += free_[idx];
         }
+      } else {
+        tree.maxv[node] = kNothingFits;
+        tree.minv[node] = kNeverShortcuts;
+        tree.avail[node] = 0;
       }
-      for (std::size_t node = tree.base; node-- > 1;) {
-        tree.maxv[node] =
-            component_max(tree.maxv[2 * node], tree.maxv[2 * node + 1]);
-        tree.minv[node] =
-            component_min(tree.minv[2 * node], tree.minv[2 * node + 1]);
-        tree.avail[node] = tree.avail[2 * node] + tree.avail[2 * node + 1];
-      }
+    }
+    for (std::size_t node = tree.base; node-- > 1;) {
+      tree.maxv[node] = component_max(tree.maxv[2 * node], tree.maxv[2 * node + 1]);
+      tree.minv[node] = component_min(tree.minv[2 * node], tree.minv[2 * node + 1]);
+      tree.avail[node] = tree.avail[2 * node] + tree.avail[2 * node + 1];
     }
   }
   built_ = true;
@@ -119,7 +102,7 @@ void AvailabilityIndex::rebuild(const Platform& platform) {
 
 void AvailabilityIndex::refresh_leaf(ElementId e) {
   const auto idx = static_cast<std::size_t>(e.value);
-  Tree& tree = trees_[slab(map_->shard_of(e), type_[idx])];
+  Tree& tree = trees_[type_[idx]];
   std::size_t node = tree.base + static_cast<std::size_t>(slot_[idx]);
   if (failed_[idx]) {
     tree.maxv[node] = kNothingFits;
@@ -142,7 +125,7 @@ void AvailabilityIndex::on_allocate(ElementId e, const ResourceVector& demand) {
   const auto idx = static_cast<std::size_t>(e.value);
   free_[idx] -= demand;
   if (!failed_[idx]) {
-    sums_[slab(map_->shard_of(e), type_[idx])] -= demand;
+    sums_[type_[idx]] -= demand;
     refresh_leaf(e);
   }
 }
@@ -152,7 +135,7 @@ void AvailabilityIndex::on_release(ElementId e, const ResourceVector& demand) {
   const auto idx = static_cast<std::size_t>(e.value);
   free_[idx] += demand;
   if (!failed_[idx]) {
-    sums_[slab(map_->shard_of(e), type_[idx])] += demand;
+    sums_[type_[idx]] += demand;
     refresh_leaf(e);
   }
 }
@@ -162,17 +145,17 @@ void AvailabilityIndex::on_failed(ElementId e, bool failed) {
   const auto idx = static_cast<std::size_t>(e.value);
   if ((failed_[idx] != 0) == failed) return;
   failed_[idx] = failed ? 1 : 0;
-  ResourceVector& sum = sums_[slab(map_->shard_of(e), type_[idx])];
   if (failed) {
-    sum -= free_[idx];
+    sums_[type_[idx]] -= free_[idx];
   } else {
-    sum += free_[idx];
+    sums_[type_[idx]] += free_[idx];
   }
   refresh_leaf(e);
 }
 
-bool AvailabilityIndex::tree_covers(const Tree& tree,
-                                    const ResourceVector& demand) const {
+bool AvailabilityIndex::covers(ElementType type,
+                               const ResourceVector& demand) const {
+  const Tree& tree = trees_[static_cast<std::size_t>(type)];
   if (tree.base == 0) return false;
   std::size_t stack[64];
   std::size_t depth = 0;
@@ -188,16 +171,15 @@ bool AvailabilityIndex::tree_covers(const Tree& tree,
   return false;
 }
 
-ElementId AvailabilityIndex::tree_first(const Tree& tree,
-                                        std::size_t type_index,
-                                        const ResourceVector& demand) const {
+ElementId AvailabilityIndex::first_available(ElementType type,
+                                             const ResourceVector& demand) const {
   // A node's max is *componentwise*, so fitting it is necessary but not
   // sufficient for any single leaf underneath to fit — the search must
   // backtrack, not commit to one child. Left is explored first, so the
   // first leaf reached (where the max is the element's exact free vector)
   // is the lowest-id fit.
+  const Tree& tree = trees_[static_cast<std::size_t>(type)];
   if (tree.base == 0) return ElementId{};
-  const std::vector<ElementId>& members = members_->of[type_index];
   std::size_t stack[64];
   std::size_t depth = 0;
   stack[depth++] = 1;
@@ -205,8 +187,7 @@ ElementId AvailabilityIndex::tree_first(const Tree& tree,
     const std::size_t node = stack[--depth];
     if (!demand.fits_within(tree.maxv[node])) continue;
     if (node >= tree.base) {
-      return members[static_cast<std::size_t>(tree.members_begin) + node -
-                     tree.base];
+      return members_->of[static_cast<std::size_t>(type)][node - tree.base];
     }
     stack[depth++] = 2 * node + 1;  // right pushed first: left pops first
     stack[depth++] = 2 * node;
@@ -214,8 +195,9 @@ ElementId AvailabilityIndex::tree_first(const Tree& tree,
   return ElementId{};
 }
 
-int AvailabilityIndex::tree_count(const Tree& tree,
-                                  const ResourceVector& demand) const {
+int AvailabilityIndex::count_available(ElementType type,
+                                       const ResourceVector& demand) const {
+  const Tree& tree = trees_[static_cast<std::size_t>(type)];
   if (tree.base == 0) return 0;
   int count = 0;
   std::size_t stack[64];
@@ -238,12 +220,14 @@ int AvailabilityIndex::tree_count(const Tree& tree,
   return count;
 }
 
-void AvailabilityIndex::tree_collect(const Tree& tree, std::size_t type_index,
-                                     const ResourceVector& demand,
-                                     ElementId exclude, std::size_t limit,
-                                     std::vector<ElementId>& out) const {
-  if (tree.base == 0 || out.size() >= limit) return;
-  const std::vector<ElementId>& members = members_->of[type_index];
+void AvailabilityIndex::collect_available(ElementType type,
+                                          const ResourceVector& demand,
+                                          ElementId exclude, std::size_t limit,
+                                          std::vector<ElementId>& out) const {
+  const Tree& tree = trees_[static_cast<std::size_t>(type)];
+  if (tree.base == 0 || limit == 0) return;
+  const std::vector<ElementId>& members =
+      members_->of[static_cast<std::size_t>(type)];
   std::size_t stack[64];
   std::size_t depth = 0;
   stack[depth++] = 1;
@@ -251,8 +235,7 @@ void AvailabilityIndex::tree_collect(const Tree& tree, std::size_t type_index,
     const std::size_t node = stack[--depth];
     if (!demand.fits_within(tree.maxv[node])) continue;
     if (node >= tree.base) {
-      const ElementId e = members[static_cast<std::size_t>(tree.members_begin) +
-                                  node - tree.base];
+      const ElementId e = members[node - tree.base];
       if (e != exclude) out.push_back(e);
       continue;
     }
@@ -261,100 +244,20 @@ void AvailabilityIndex::tree_collect(const Tree& tree, std::size_t type_index,
   }
 }
 
-// Global forms: loop shards in ascending id order. Each shard's tree covers
-// a contiguous ascending id range, so concatenation == global id order and
-// the merged answers match the pre-shard single-tree index exactly.
-
-bool AvailabilityIndex::covers(ElementType type,
-                               const ResourceVector& demand) const {
-  const auto k = static_cast<std::size_t>(type);
-  for (int s = 0; s < shard_count_; ++s) {
-    if (tree_covers(trees_[slab(s, k)], demand)) return true;
-  }
-  return false;
-}
-
-ElementId AvailabilityIndex::first_available(ElementType type,
-                                             const ResourceVector& demand) const {
-  const auto k = static_cast<std::size_t>(type);
-  for (int s = 0; s < shard_count_; ++s) {
-    const ElementId e = tree_first(trees_[slab(s, k)], k, demand);
-    if (e.valid()) return e;
-  }
-  return ElementId{};
-}
-
-int AvailabilityIndex::count_available(ElementType type,
-                                       const ResourceVector& demand) const {
-  const auto k = static_cast<std::size_t>(type);
-  int count = 0;
-  for (int s = 0; s < shard_count_; ++s) {
-    count += tree_count(trees_[slab(s, k)], demand);
-  }
-  return count;
-}
-
-void AvailabilityIndex::collect_available(ElementType type,
-                                          const ResourceVector& demand,
-                                          ElementId exclude, std::size_t limit,
-                                          std::vector<ElementId>& out) const {
-  if (limit == 0) return;
-  const auto k = static_cast<std::size_t>(type);
-  for (int s = 0; s < shard_count_ && out.size() < limit; ++s) {
-    tree_collect(trees_[slab(s, k)], k, demand, exclude, limit, out);
-  }
-}
-
-ResourceVector AvailabilityIndex::total_free(ElementType type) const {
-  const auto k = static_cast<std::size_t>(type);
-  ResourceVector total;
-  for (int s = 0; s < shard_count_; ++s) total += sums_[slab(s, k)];
-  return total;
-}
-
-// Per-shard forms.
-
-bool AvailabilityIndex::covers(int shard, ElementType type,
-                               const ResourceVector& demand) const {
-  return tree_covers(trees_[slab(shard, static_cast<std::size_t>(type))],
-                     demand);
-}
-
-ElementId AvailabilityIndex::first_available(int shard, ElementType type,
-                                             const ResourceVector& demand) const {
-  const auto k = static_cast<std::size_t>(type);
-  return tree_first(trees_[slab(shard, k)], k, demand);
-}
-
-int AvailabilityIndex::count_available(int shard, ElementType type,
-                                       const ResourceVector& demand) const {
-  return tree_count(trees_[slab(shard, static_cast<std::size_t>(type))],
-                    demand);
-}
-
-void AvailabilityIndex::collect_available(int shard, ElementType type,
-                                          const ResourceVector& demand,
-                                          ElementId exclude, std::size_t limit,
-                                          std::vector<ElementId>& out) const {
-  const auto k = static_cast<std::size_t>(type);
-  tree_collect(trees_[slab(shard, k)], k, demand, exclude, limit, out);
-}
-
 bool AvailabilityIndex::consistent_with(const Platform& platform) const {
   if (!built_) return false;
   AvailabilityIndex fresh;
   fresh.rebuild(platform);
-  if (shard_count_ != fresh.shard_count_ || free_ != fresh.free_ ||
-      failed_ != fresh.failed_ || slot_ != fresh.slot_ ||
-      type_ != fresh.type_) {
+  if (free_ != fresh.free_ || failed_ != fresh.failed_ ||
+      slot_ != fresh.slot_ || type_ != fresh.type_) {
     return false;
   }
-  for (std::size_t i = 0; i < trees_.size(); ++i) {
-    if (sums_[i] != fresh.sums_[i]) return false;
-    const Tree& a = trees_[i];
-    const Tree& b = fresh.trees_[i];
-    if (a.base != b.base || a.members_begin != b.members_begin ||
-        a.maxv != b.maxv || a.minv != b.minv || a.avail != b.avail) {
+  for (std::size_t k = 0; k < kElementTypeCount; ++k) {
+    if (sums_[k] != fresh.sums_[k]) return false;
+    const Tree& a = trees_[k];
+    const Tree& b = fresh.trees_[k];
+    if (a.base != b.base || a.maxv != b.maxv || a.minv != b.minv ||
+        a.avail != b.avail) {
       return false;
     }
   }

@@ -43,22 +43,9 @@
 //     pools index instances thread-locally and rebuilds them from the live
 //     platform per admission.
 //
-// Sharding (PR 9): the index is partitioned by the platform's ShardMap —
-// one segment tree per (shard, type) instead of one per type. Because every
-// shard is a contiguous, ascending element-id region and shards are numbered
-// in id order, walking the per-shard trees in shard order reproduces the
-// exact global id order, so the merged queries above stay bit-identical to
-// the single-tree index and the original linear scans. The payoff is
-// concurrency: a sharded commit holding shard s's lock updates only shard
-// s's trees and sums, so disjoint commits maintain the live index without
-// synchronisation. Every query is also answerable per-shard (the overloads
-// taking a shard id). The default map is a single shard — identical shapes,
-// identical behaviour, zero-cost when sharding is off.
-//
 // In debug builds Platform cross-checks the incremental index against a
-// linear recount every few mutations (consistent_with; suppressed when more
-// than one shard exists, since concurrent shard commits make a global
-// recount racy); the churn property test does the same in release builds.
+// linear recount every few mutations (consistent_with); the churn property
+// test does the same in release builds.
 #pragma once
 
 #include <array>
@@ -68,7 +55,6 @@
 
 #include "platform/element.hpp"
 #include "platform/resource_vector.hpp"
-#include "platform/shard_map.hpp"
 
 namespace kairos::platform {
 
@@ -133,27 +119,9 @@ class AvailabilityIndex {
                          ElementId exclude, std::size_t limit,
                          std::vector<ElementId>& out) const;
 
-  /// Aggregate free over non-failed elements of `type`, summed across
-  /// shards (each shard maintains its own running sum).
-  ResourceVector total_free(ElementType type) const;
-
-  // --- per-shard forms -------------------------------------------------------
-  // The same queries restricted to one shard of the installed ShardMap.
-  // Shard ids follow ascending element-id regions, so looping shards in
-  // order and merging reproduces the global answers exactly.
-
-  int shard_count() const { return shard_count_; }
-
-  bool covers(int shard, ElementType type, const ResourceVector& demand) const;
-  ElementId first_available(int shard, ElementType type,
-                            const ResourceVector& demand) const;
-  int count_available(int shard, ElementType type,
-                      const ResourceVector& demand) const;
-  void collect_available(int shard, ElementType type,
-                         const ResourceVector& demand, ElementId exclude,
-                         std::size_t limit, std::vector<ElementId>& out) const;
-  const ResourceVector& total_free(int shard, ElementType type) const {
-    return sums_[slab(shard, static_cast<std::size_t>(type))];
+  /// Aggregate free over non-failed elements of `type` (maintained sum).
+  const ResourceVector& total_free(ElementType type) const {
+    return sums_[static_cast<std::size_t>(type)];
   }
 
   /// Linear recount ground truth — true iff every derived quantity (flat
@@ -161,41 +129,27 @@ class AvailabilityIndex {
   bool consistent_with(const Platform& platform) const;
 
  private:
-  // One segment tree per (shard, type) over the shard's members of that
-  // type (id order; a contiguous subrange of the global type member list,
-  // starting at members_begin). Leaves live at [base, base + count);
-  // `base` is the padded power of two. Padding leaves are "absorbing":
-  // max = -1 (nothing fits), min = +inf (never shortcuts a count),
-  // avail = 0.
+  // One segment tree per element type over that type's members (id order).
+  // Leaves live at [base, base + members); `base` is the padded power of
+  // two. Padding leaves are "absorbing": max = -1 (nothing fits), min =
+  // +inf (never shortcuts a count), avail = 0.
   struct Tree {
     std::size_t base = 0;
-    std::int32_t members_begin = 0;
     std::vector<ResourceVector> maxv;
     std::vector<ResourceVector> minv;
     std::vector<std::int32_t> avail;
   };
 
-  std::size_t slab(int shard, std::size_t type_index) const {
-    return static_cast<std::size_t>(shard) * kElementTypeCount + type_index;
-  }
-
   void refresh_leaf(ElementId e);
-  bool tree_covers(const Tree& tree, const ResourceVector& demand) const;
-  ElementId tree_first(const Tree& tree, std::size_t type_index,
-                       const ResourceVector& demand) const;
-  int tree_count(const Tree& tree, const ResourceVector& demand) const;
-  void tree_collect(const Tree& tree, std::size_t type_index,
-                    const ResourceVector& demand, ElementId exclude,
-                    std::size_t limit, std::vector<ElementId>& out) const;
+  ElementId leaf_element(const Tree& tree, std::size_t type_index,
+                         std::size_t node) const;
 
   std::shared_ptr<const TypeMembers> members_;
-  std::shared_ptr<const ShardMap> map_;
-  int shard_count_ = 1;
-  std::vector<Tree> trees_;          // [shard * kElementTypeCount + type]
-  std::vector<ResourceVector> sums_;  // same indexing
+  std::array<Tree, kElementTypeCount> trees_;
+  std::array<ResourceVector, kElementTypeCount> sums_;
   std::vector<ResourceVector> free_;  // exact free per element, failed or not
   std::vector<std::uint8_t> failed_;
-  std::vector<std::int32_t> slot_;  // leaf slot within its (shard,type) tree
+  std::vector<std::int32_t> slot_;  // member slot within the type's tree
   std::vector<std::uint8_t> type_;  // element type, as index
   bool built_ = false;
 };

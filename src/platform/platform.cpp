@@ -15,7 +15,6 @@ ElementId Platform::add_element(ElementType type, std::string name,
   neighbors_.emplace_back();
   hop_cache_.store(nullptr);
   type_members_.store(nullptr);
-  shard_map_.store(nullptr);
   availability_.invalidate();
   return id;
 }
@@ -99,17 +98,6 @@ const std::vector<ElementId>& Platform::elements_of_type(
   return type_members()->of[static_cast<std::size_t>(type)];
 }
 
-std::shared_ptr<const ShardMap> Platform::shard_map() const {
-  return shard_map_.ensure([&] { return ShardMap::single(elements_.size()); });
-}
-
-void Platform::set_shard_map(std::shared_ptr<const ShardMap> map) {
-  assert(map && map->element_count() == elements_.size());
-  shard_map_.store(std::move(map));
-  // The index partitions its trees by the map; force a re-partition.
-  availability_.invalidate();
-}
-
 bool Platform::allocate(ElementId e, const ResourceVector& demand) {
   Element& el = elements_.at(index(e));
   if (!demand.fits_within(el.free())) return false;
@@ -174,11 +162,6 @@ bool Platform::availability_consistent() const {
 
 void Platform::audit_availability() {
 #ifndef NDEBUG
-  // With more than one shard, mutations may run concurrently under disjoint
-  // shard locks; a whole-platform recount here would read other shards
-  // mid-commit (and the trip counter itself would race). Sharded
-  // consistency is certified by the property tests at quiesce points.
-  if (availability_.shard_count() > 1) return;
   if ((++availability_audit_ & 63u) == 0) {
     assert(availability_.consistent_with(*this) &&
            "incremental availability index diverged from linear recount");

@@ -18,7 +18,6 @@
 #include "platform/element.hpp"
 #include "platform/hop_cache.hpp"
 #include "platform/resource_vector.hpp"
-#include "platform/shard_map.hpp"
 
 namespace kairos::platform {
 
@@ -226,22 +225,6 @@ class Platform {
   /// Trivially true when the index is not built. For tests and audits.
   bool availability_consistent() const;
 
-  // --- sharding ---------------------------------------------------------------
-
-  /// The element-shard partition the availability index and the resource
-  /// manager's per-region commit locks agree on. Defaults (lazily) to a
-  /// single shard covering everything — the pre-shard behaviour. Shared
-  /// across platform copies, so service snapshots classify footprints
-  /// identically to the live platform.
-  std::shared_ptr<const ShardMap> shard_map() const;
-
-  /// Installs a partition (it must cover exactly element_count() elements)
-  /// and invalidates the availability index so the next build partitions its
-  /// trees accordingly. Call before concurrent traffic starts — the map is
-  /// immutable afterwards (core::ResourceManager installs it on
-  /// construction).
-  void set_shard_map(std::shared_ptr<const ShardMap> map);
-
   // --- link allocation state ------------------------------------------------
 
   /// Reserves one virtual channel plus bandwidth on the link; false if the
@@ -314,7 +297,6 @@ class Platform {
   // platform share the pointees, topology edits drop the pointers.
   mutable detail::AtomicSharedPtr<HopCache> hop_cache_;
   mutable detail::AtomicSharedPtr<const TypeMembers> type_members_;
-  mutable detail::AtomicSharedPtr<const ShardMap> shard_map_;
   // Incremental availability index — per-copy (it tracks allocation state).
   AvailabilityIndex availability_;
 #ifndef NDEBUG

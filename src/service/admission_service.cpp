@@ -1,6 +1,7 @@
 #include "service/admission_service.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <string>
 
 #include "obs/event_log.hpp"
@@ -18,12 +19,6 @@ core::AdmissionReport stopped_report() {
   return report;
 }
 
-/// Metric-name suffix for the capped per-shard families: exact labels for
-/// the first kMaxShardMetricLabels shards, ".other" for the tail.
-std::string shard_label(std::size_t index, std::size_t exact) {
-  return index < exact ? std::to_string(index) : std::string("other");
-}
-
 }  // namespace
 
 AdmissionService::AdmissionService(core::ResourceManager& manager,
@@ -39,30 +34,8 @@ AdmissionService::AdmissionService(core::ResourceManager& manager,
   conflicts_ = registry.counter("service.commit_conflicts");
   fallbacks_ = registry.counter("service.fallbacks");
   batches_ = registry.counter("service.batches");
-  shard_commits_ = registry.counter("service.shard_commits");
-  cross_shard_commits_ = registry.counter("service.cross_shard_commits");
   queue_depth_ = registry.gauge("service.queue_depth");
   latency_ms_ = registry.histogram("service.latency_ms");
-
-  const auto shards = static_cast<std::size_t>(manager_.shard_count());
-  shard_queues_.resize(shards);
-
-  // Capped per-shard families (label policy, obs/metrics.hpp): one metric
-  // cell per exact label, shards past the cap share the ".other" cell.
-  const std::size_t exact = std::min(shards, kMaxShardMetricLabels);
-  const std::size_t cells = exact + (shards > exact ? 1 : 0);
-  shard_conflicts_.reserve(cells);
-  shard_commit_by_shard_.reserve(cells);
-  shard_depth_gauges_.reserve(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    const std::string label = shard_label(c, exact);
-    shard_conflicts_.push_back(
-        registry.counter("service.commit_conflicts.shard." + label));
-    shard_commit_by_shard_.push_back(
-        registry.counter("service.commits.shard." + label));
-    shard_depth_gauges_.push_back(
-        registry.gauge("service.queue_depth.shard." + label));
-  }
 
   workers_.reserve(static_cast<std::size_t>(config_.threads));
   for (int i = 0; i < config_.threads; ++i) {
@@ -92,7 +65,7 @@ std::future<core::AdmissionReport> AdmissionService::submit(
     }
     queue_.push_back(std::move(request));
     ++unsettled_;
-    queue_depth_.set(static_cast<double>(queue_.size() + shard_queued_));
+    queue_depth_.set(static_cast<double>(queue_.size() + retries_.size()));
   }
   work_cv_.notify_one();
   return future;
@@ -165,54 +138,25 @@ void AdmissionService::settle(Request&& request,
 void AdmissionService::requeue(Request&& request) {
   obs::EventLog::global().log(obs::LogLevel::kDebug, "service", "requeued",
                               {{"app", request.app.name()},
-                               {"shard", std::to_string(request.shard)},
                                {"attempt", std::to_string(request.attempt)}},
                               request.id);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    // Conflicted requests carry their primary shard: park them on that
-    // shard's queue so the next worker batches all retries for the
-    // contended region together. Anything untagged rejoins fresh traffic.
-    if (request.shard >= 0 &&
-        static_cast<std::size_t>(request.shard) < shard_queues_.size()) {
-      const int shard = request.shard;
-      shard_queues_[static_cast<std::size_t>(shard)].push_back(
-          std::move(request));
-      ++shard_queued_;
-      update_shard_depth_locked(shard);
-    } else {
-      queue_.push_back(std::move(request));
-    }
-    queue_depth_.set(static_cast<double>(queue_.size() + shard_queued_));
+    retries_.push_back(std::move(request));
+    queue_depth_.set(static_cast<double>(queue_.size() + retries_.size()));
   }
   work_cv_.notify_one();
 }
 
-std::size_t AdmissionService::shard_label_index(int shard) const {
-  if (shard < 0) return 0;
-  const std::size_t exact =
-      std::min(shard_queues_.size(), kMaxShardMetricLabels);
-  const auto s = static_cast<std::size_t>(shard);
-  return s < exact ? s : exact;  // past the cap -> the trailing ".other"
-}
-
-void AdmissionService::update_shard_depth_locked(int shard) {
-  if (shard_depth_gauges_.empty()) return;
-  const std::size_t index = shard_label_index(shard);
-  if (index >= shard_depth_gauges_.size()) return;
-  const std::size_t exact =
-      std::min(shard_queues_.size(), kMaxShardMetricLabels);
-  if (index < exact) {
-    shard_depth_gauges_[index].set(
-        static_cast<double>(shard_queues_[index].size()));
-    return;
-  }
-  // The ".other" label covers every shard past the cap; re-sum the tail.
-  std::size_t depth = 0;
-  for (std::size_t s = exact; s < shard_queues_.size(); ++s) {
-    depth += shard_queues_[s].size();
-  }
-  shard_depth_gauges_[index].set(static_cast<double>(depth));
+void AdmissionService::stage_failed(Request&& request,
+                                    const std::string& what) {
+  obs::EventLog::global().log(obs::LogLevel::kError, "service",
+                              "staging threw",
+                              {{"app", request.app.name()}, {"what", what}},
+                              request.id);
+  core::AdmissionReport report;
+  report.reason = "staging threw: " + what;
+  settle(std::move(request), std::move(report));
 }
 
 void AdmissionService::log_commit(CommitRecord record) {
@@ -227,38 +171,20 @@ void AdmissionService::worker_loop() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_cv_.wait(lock, [this] {
-        return stopping_ || !queue_.empty() || shard_queued_ > 0;
+        return stopping_ || !queue_.empty() || !retries_.empty();
       });
-      if (queue_.empty() && shard_queued_ == 0) {
+      if (queue_.empty() && retries_.empty()) {
         return;  // stopping, and nothing left to settle
       }
+      // Retries first: a batch of conflicted requests re-stages against one
+      // fresh snapshot and commits in one pass.
+      std::deque<Request>& source = retries_.empty() ? queue_ : retries_;
       const auto want = static_cast<std::size_t>(config_.max_batch);
-      if (shard_queued_ > 0) {
-        // Shard requeues first: a batch of retries for ONE shard re-stages
-        // against a single fresh snapshot and commits behind that shard's
-        // lock in one pass. Round-robin the starting shard so a hot shard
-        // cannot starve the others.
-        const std::size_t n = shard_queues_.size();
-        for (std::size_t probe = 0; probe < n; ++probe) {
-          const std::size_t shard = (next_shard_ + probe) % n;
-          std::deque<Request>& q = shard_queues_[shard];
-          if (q.empty()) continue;
-          next_shard_ = (shard + 1) % n;
-          while (!q.empty() && batch.size() < want) {
-            batch.push_back(std::move(q.front()));
-            q.pop_front();
-            --shard_queued_;
-          }
-          update_shard_depth_locked(static_cast<int>(shard));
-          break;
-        }
-      } else {
-        while (!queue_.empty() && batch.size() < want) {
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
+      while (!source.empty() && batch.size() < want) {
+        batch.push_back(std::move(source.front()));
+        source.pop_front();
       }
-      queue_depth_.set(static_cast<double>(queue_.size() + shard_queued_));
+      queue_depth_.set(static_cast<double>(queue_.size() + retries_.size()));
     }
     batches_.add(1);
 
@@ -272,7 +198,18 @@ void AdmissionService::worker_loop() {
       // Every span and log event emitted while this request stages,
       // commits, requeues or falls back carries its id.
       const obs::RequestScope request_scope(request.id);
-      core::StagedAdmission staged = manager_.stage(request.app, scratch);
+      // A throwing mapper must not take the worker (and every pending
+      // future) down with it: the request settles as a rejection instead.
+      core::StagedAdmission staged;
+      try {
+        staged = manager_.stage(request.app, scratch);
+      } catch (const std::exception& error) {
+        stage_failed(std::move(request), error.what());
+        continue;
+      } catch (...) {
+        stage_failed(std::move(request), "unknown exception");
+        continue;
+      }
       if (!staged.report.admitted) {
         settle(std::move(request), std::move(staged.report));
         continue;
@@ -281,19 +218,8 @@ void AdmissionService::worker_loop() {
       CommitRecord record;
       record.task_allocations = staged.task_allocations;
       record.routes = staged.routes;
-      const std::vector<int> footprint = manager_.shard_footprint(staged);
-      const int primary = footprint.empty() ? 0 : footprint.front();
       auto committed = manager_.commit_staged(std::move(staged));
       if (committed.ok()) {
-        if (footprint.size() <= 1) {
-          shard_commits_.add(1);
-        } else {
-          cross_shard_commits_.add(1);
-        }
-        const std::size_t cell = shard_label_index(primary);
-        if (cell < shard_commit_by_shard_.size()) {
-          shard_commit_by_shard_[cell].add(1);
-        }
         record.handle = committed.value().handle;
         log_commit(std::move(record));
         settle(std::move(request), std::move(committed).value());
@@ -302,19 +228,13 @@ void AdmissionService::worker_loop() {
 
       // Conflict: the live platform moved underneath the snapshot.
       conflicts_.add(1);
-      {
-        const std::size_t cell = shard_label_index(primary);
-        if (cell < shard_conflicts_.size()) shard_conflicts_[cell].add(1);
-      }
       obs::EventLog::global().log(
           obs::LogLevel::kWarn, "service", "commit conflict",
           {{"app", request.app.name()},
-           {"shard", std::to_string(primary)},
            {"attempt", std::to_string(request.attempt)}},
           request.id);
       if (request.attempt < config_.max_retries) {
         ++request.attempt;
-        request.shard = primary;
         requeue(std::move(request));
         continue;
       }

@@ -32,34 +32,19 @@
 // write lock. Throughput therefore scales with cores until commits saturate
 // (bench_service measures exactly this).
 //
-// Sharded commits (PR 9): the manager classifies every staged admission by
-// the shards its reservations touch, and commit_staged() takes only those
-// shard locks — so commits with disjoint footprints no longer serialize.
-// The service rides that: a conflicted request is requeued onto the queue
-// of its *primary* shard (the lowest in its footprint) instead of the main
-// queue, so retries against the same contended region batch together,
-// re-stage against one fresh snapshot, and settle behind that shard's lock
-// in one pass. Workers drain shard requeues before fresh submissions
-// (round-robin across shards so none starves).
+// A conflicted request is parked on the retry queue, which workers drain
+// (up to max_batch) before fresh submissions, so retries batch together and
+// re-stage against one fresh snapshot instead of queueing behind new
+// traffic.
 //
 // Observability (obs::Registry::global()):
 //   counter  service.admissions        applications admitted through the service
 //   counter  service.rejections        applications rejected (any phase)
 //   counter  service.commit_conflicts  optimistic commits that lost the race
-//   counter  service.commit_conflicts.shard.<k>  same, by primary shard
-//   counter  service.commits.shard.<k>   successful commits, by primary shard
-//   counter  service.shard_commits       commits whose footprint was one shard
-//   counter  service.cross_shard_commits commits spanning several shards
 //   counter  service.fallbacks         requests settled by the exclusive path
 //   counter  service.batches           batches popped by workers
 //   gauge    service.queue_depth       requests waiting (not yet in a batch)
-//   gauge    service.queue_depth.shard.<k>  conflicted retries parked, by shard
 //   histogram service.latency_ms       submit() -> settled, per request
-//
-// Per-shard families are capped at kMaxShardMetricLabels exact labels; a
-// platform sharded wider aggregates the tail into the single ".shard.other"
-// label (see "Label policy" in obs/metrics.hpp) so metric cardinality stays
-// bounded however the platform is partitioned.
 //
 // Request ids: submit() mints a process-unique id (monotone from 1), carried
 // on the Request and stamped into the settled AdmissionReport. Workers open
@@ -77,6 +62,7 @@
 #include <deque>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -153,19 +139,12 @@ class AdmissionService {
 
   const ServiceConfig& config() const { return config_; }
 
-  /// Exact per-shard metric labels before the tail collapses into
-  /// ".shard.other" — the registry-cardinality cap (obs/metrics.hpp).
-  static constexpr std::size_t kMaxShardMetricLabels = 8;
-
  private:
   struct Request {
     graph::Application app;
     std::promise<core::AdmissionReport> promise;
     std::uint64_t id = 0;  ///< minted by submit(), echoed in the report
     int attempt = 0;
-    /// Primary shard of the last conflicted staging (-1 until a conflict):
-    /// which shard requeue the request lands on.
-    int shard = -1;
     std::chrono::steady_clock::time_point enqueued;
   };
 
@@ -175,12 +154,10 @@ class AdmissionService {
   /// count.
   void settle(Request&& request, core::AdmissionReport report);
   void requeue(Request&& request);
+  /// Settles a request whose staging threw `what` as a rejection naming the
+  /// exception, and logs it at error level.
+  void stage_failed(Request&& request, const std::string& what);
   void log_commit(CommitRecord record);
-  /// Index into the capped per-shard metric vectors for a shard number.
-  std::size_t shard_label_index(int shard) const;
-  /// Recomputes the queue-depth gauge for the label covering `shard`
-  /// (callers hold mutex_; the ".other" label sums its whole tail).
-  void update_shard_depth_locked(int shard);
 
   core::ResourceManager& manager_;
   ServiceConfig config_;
@@ -188,14 +165,9 @@ class AdmissionService {
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  ///< workers: work available or stopping
   std::condition_variable idle_cv_;  ///< drain(): pending count hit zero
-  std::deque<Request> queue_;  ///< fresh submissions
-  /// Conflicted requests, per primary shard: retries against the same
-  /// contended region batch together instead of interleaving with fresh
-  /// traffic. Drained before queue_, round-robin from next_shard_.
-  std::vector<std::deque<Request>> shard_queues_;
-  std::size_t shard_queued_ = 0;  ///< total across shard_queues_
-  std::size_t next_shard_ = 0;    ///< round-robin scan start
-  std::size_t unsettled_ = 0;     ///< queued + inside a worker
+  std::deque<Request> queue_;    ///< fresh submissions
+  std::deque<Request> retries_;  ///< conflicted requests, drained first
+  std::size_t unsettled_ = 0;    ///< queued + inside a worker
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 
@@ -207,13 +179,6 @@ class AdmissionService {
   obs::Counter conflicts_;
   obs::Counter fallbacks_;
   obs::Counter batches_;
-  obs::Counter shard_commits_;
-  obs::Counter cross_shard_commits_;
-  /// Per-shard families, indexed by shard_label_index(): one cell per exact
-  /// label plus (when the platform has more shards) a trailing ".other".
-  std::vector<obs::Counter> shard_conflicts_;
-  std::vector<obs::Counter> shard_commit_by_shard_;
-  std::vector<obs::Gauge> shard_depth_gauges_;
   obs::Gauge queue_depth_;
   obs::Histogram latency_ms_;
 

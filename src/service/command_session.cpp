@@ -65,8 +65,6 @@ std::string service_stats_json(const core::ResourceManager& manager,
   json.kv("rejected", counter("service.rejections"));
   json.kv("conflicts", counter("service.commit_conflicts"));
   json.kv("fallbacks", counter("service.fallbacks"));
-  json.kv("shard_commits", counter("service.shard_commits"));
-  json.kv("cross_shard_commits", counter("service.cross_shard_commits"));
   json.end_object();
   return out.str();
 }
@@ -77,10 +75,9 @@ CommandSession::CommandSession(core::ResourceManager& manager,
 
 std::string CommandSession::greeting() const {
   return format(
-      "serving (threads=%d batch=%d shards=%d); commands: admit <file>..., "
+      "serving (threads=%d batch=%d); commands: admit <file>..., "
       "gen <n> [seed], remove <handle>, stats, metrics, quit",
-      service_.config().threads, service_.config().max_batch,
-      manager_.shard_count());
+      service_.config().threads, service_.config().max_batch);
 }
 
 std::string CommandSession::settle_line(PendingReply& reply) const {
@@ -215,14 +212,11 @@ CommandSession::Status CommandSession::handle_line(
     };
     out.push_back(format(
         "stats live=%zu fragmentation=%.1f%% pending=%zu admitted=%lld "
-        "rejected=%lld conflicts=%lld shard_commits=%lld "
-        "cross_shard_commits=%lld",
+        "rejected=%lld conflicts=%lld",
         manager_.live_count(),
         100.0 * platform::external_fragmentation(manager_.platform()),
         service_.pending(), counter("service.admissions"),
-        counter("service.rejections"), counter("service.commit_conflicts"),
-        counter("service.shard_commits"),
-        counter("service.cross_shard_commits")));
+        counter("service.rejections"), counter("service.commit_conflicts")));
     return Status::kReady;
   }
 

@@ -139,110 +139,6 @@ TEST(AvailabilityPropertyTest, RandomChurnMatchesLinearRecount) {
   expect_queries_match(p, check_rng);
 }
 
-// --- sharded index vs global linear recount ---------------------------------
-//
-// With a uniform ShardMap installed, the per-(shard, type) trees must (a)
-// answer the per-shard query forms exactly like a linear recount restricted
-// to the shard's region, and (b) merge — in ascending shard order — to the
-// same global answers as the single-tree index and the linear scans. 7
-// shards over 57 elements: uneven region sizes, types interleaving across
-// every shard boundary.
-
-TEST(AvailabilityPropertyTest, ShardedIndexMatchesGlobalLinearRecount) {
-  Platform p = mixed_platform();
-  const auto map = platform::ShardMap::uniform(p.element_count(), 7);
-  p.set_shard_map(map);
-  p.ensure_availability();
-  ASSERT_EQ(p.availability().shard_count(), 7);
-  util::Xoshiro256 rng(0x5AADED);
-
-  constexpr ElementType kTypes[] = {ElementType::kDsp, ElementType::kArm,
-                                    ElementType::kMemory};
-  const auto n = static_cast<std::int64_t>(p.element_count());
-  std::vector<std::pair<ElementId, ResourceVector>> live;
-
-  const auto cross_check = [&](const ResourceVector& demand) {
-    const auto& index = p.availability();
-    for (const ElementType t : kTypes) {
-      // Per-shard answers vs a linear recount over the shard's region.
-      int merged_count = 0;
-      ResourceVector merged_free;
-      ElementId merged_first{};
-      bool merged_covers = false;
-      std::vector<ElementId> merged_collect;
-      for (int s = 0; s < map->shard_count(); ++s) {
-        const auto [first, last] = map->region(s);
-        int region_count = 0;
-        ResourceVector region_free;
-        ElementId region_first{};
-        for (std::int32_t i = first; i < last; ++i) {
-          const auto& e = p.element(ElementId{i});
-          if (e.is_failed() || e.type() != t) continue;
-          region_free += e.free();
-          if (demand.fits_within(e.free())) {
-            ++region_count;
-            if (!region_first.valid()) region_first = e.id();
-          }
-        }
-        ASSERT_EQ(index.count_available(s, t, demand), region_count);
-        ASSERT_EQ(index.total_free(s, t), region_free);
-        ASSERT_EQ(index.first_available(s, t, demand), region_first);
-        ASSERT_EQ(index.covers(s, t, demand), region_count > 0);
-        merged_count += region_count;
-        merged_free += region_free;
-        if (!merged_first.valid()) merged_first = region_first;
-        merged_covers = merged_covers || region_count > 0;
-        index.collect_available(s, t, demand, ElementId{}, ~std::size_t{0},
-                                merged_collect);
-      }
-      // Merged per-shard answers == global answers == linear recount.
-      ASSERT_EQ(merged_count, linear_count(p, t, demand));
-      ASSERT_EQ(index.count_available(t, demand), merged_count);
-      ASSERT_EQ(merged_free, linear_total_free(p, t));
-      ASSERT_EQ(index.total_free(t), merged_free);
-      ASSERT_EQ(merged_first, linear_first(p, t, demand));
-      ASSERT_EQ(index.first_available(t, demand), merged_first);
-      ASSERT_EQ(index.covers(t, demand), merged_covers);
-      std::vector<ElementId> global_collect;
-      index.collect_available(t, demand, ElementId{}, ~std::size_t{0},
-                              global_collect);
-      ASSERT_EQ(global_collect, merged_collect);
-    }
-  };
-
-  for (int iter = 0; iter < 2000; ++iter) {
-    const std::int64_t op = rng.uniform_int(0, 99);
-    const ElementId e{static_cast<std::int32_t>(rng.uniform_int(0, n - 1))};
-    if (op < 45) {
-      const ResourceVector demand(rng.uniform_int(1, 500),
-                                  rng.uniform_int(0, 200), 0, 0);
-      if (p.allocate(e, demand)) live.emplace_back(e, demand);
-    } else if (op < 70) {
-      if (!live.empty()) {
-        const auto i = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-        p.release(live[i].first, live[i].second);
-        live[i] = live.back();
-        live.pop_back();
-      }
-    } else if (op < 80) {
-      p.set_element_failed(e, true);
-    } else if (op < 90) {
-      p.set_element_failed(e, false);
-    } else {
-      cross_check(ResourceVector(rng.uniform_int(0, 1200),
-                                 rng.uniform_int(0, 600), 0, 0));
-    }
-    if (iter % 64 == 0) {
-      ASSERT_TRUE(p.availability_consistent()) << "iteration " << iter;
-    }
-  }
-  for (const auto& [element, demand] : live) p.release(element, demand);
-  ASSERT_TRUE(p.availability_consistent());
-  cross_check(ResourceVector(100, 50, 0, 0));
-  cross_check(ResourceVector(0, 0, 0, 0));
-}
-
 // --- churn through the resource manager's heavy flows ------------------------
 
 graph::Application small_dsp_app(const std::string& name) {

@@ -17,11 +17,6 @@
 //     trial placements advance wear in a way a replay of final placements
 //     does not repeat (wear feeds only the optional wear-leveling objective).
 //
-// The churn test runs at shards ∈ {1, 4}: with one shard the sharded commit
-// path degenerates to the old single-lock behaviour, with four it exercises
-// the per-region commit locks, ordered multi-lock cross-shard commits and
-// per-shard requeues — both must uphold the same two invariants.
-//
 // Run under -fsanitize=thread to also certify the locking discipline; the
 // ctest label is "property" so the TSan CI lane picks it up via -L property.
 #include <gtest/gtest.h>
@@ -42,14 +37,9 @@
 namespace kairos::service {
 namespace {
 
-class ServiceChurnTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ServiceChurnTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
+TEST(ServicePropertyTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
   platform::Platform crisp = platform::make_crisp_platform();
-  core::KairosConfig kairos_config;
-  kairos_config.shards = GetParam();
-  core::ResourceManager manager(crisp, kairos_config);
-  ASSERT_EQ(manager.shard_count(), GetParam());
+  core::ResourceManager manager(crisp, {});
   ServiceConfig config;
   config.threads = 4;
   config.max_batch = 3;
@@ -174,15 +164,10 @@ TEST_P(ServiceChurnTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
   }
 
   // --- quiesced availability index matches a linear recount ---------------
-  // (The debug-build audit is suppressed while sharded commits are in
-  // flight; this is the promised certification at the quiesce point.)
+  // (Debug builds also audit it every few mutations during the churn; this
+  // certifies release builds at the quiesce point.)
   EXPECT_TRUE(live_platform.availability_consistent());
 }
-
-INSTANTIATE_TEST_SUITE_P(Shards, ServiceChurnTest, ::testing::Values(1, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
 
 TEST(ServicePropertyTest, DrainQuiescesUnderConcurrentSubmissions) {
   platform::Platform crisp = platform::make_crisp_platform();

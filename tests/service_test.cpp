@@ -1,16 +1,22 @@
 // Contract tests for service::AdmissionService and the stage/commit split it
 // drives: every submitted future settles, commits book exactly what was
 // staged, conflicts are reported without touching the platform, removal and
-// shutdown behave, and the commit log matches the live bookkeeping.
+// shutdown behave, the commit log matches the live bookkeeping, and a
+// mapper that throws settles its request without taking the worker down.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/resource_manager.hpp"
 #include "gen/datasets.hpp"
+#include "mappers/incremental_mapper.hpp"
 #include "platform/crisp.hpp"
 #include "service/admission_service.hpp"
 
@@ -124,6 +130,80 @@ TEST(AdmissionServiceTest, CommitLogMatchesLiveBookkeeping) {
     // The log records exactly the reservations the manager holds live.
     EXPECT_EQ(it->task_allocations, manager.allocations_of(handle));
   }
+}
+
+/// A strategy that throws for the named applications and maps every other
+/// one with the paper's incremental mapper — the faulty member of the
+/// worker-exception test.
+class ThrowingStubMapper final : public mappers::Mapper {
+ public:
+  explicit ThrowingStubMapper(std::set<std::string> victims)
+      : victims_(std::move(victims)) {}
+
+  std::string name() const override { return "throwing_stub"; }
+
+  using Mapper::map;
+  core::MappingResult map(const graph::Application& app,
+                          const std::vector<int>& impl_of,
+                          const core::PinTable& pins,
+                          platform::Platform& platform,
+                          const mappers::StopToken& stop) const override {
+    if (victims_.count(app.name()) != 0) {
+      throw std::runtime_error("stub mapper exploded on " + app.name());
+    }
+    return inner_.map(app, impl_of, pins, platform, stop);
+  }
+
+ private:
+  std::set<std::string> victims_;
+  mappers::IncrementalStrategy inner_;
+};
+
+TEST(AdmissionServiceTest, ThrowingMapperSettlesItsRequestAndWorkerSurvives) {
+  const auto pool = small_pool(9, 0xE7707);
+  std::set<std::string> victims;
+  for (std::size_t i = 0; i < pool.size(); i += 3) {
+    victims.insert(pool[i].name());
+  }
+  ASSERT_EQ(victims.size(), 3u);
+
+  platform::Platform crisp = platform::make_crisp_platform();
+  core::KairosConfig kairos_config;
+  kairos_config.mapper = std::make_shared<ThrowingStubMapper>(victims);
+  core::ResourceManager manager(crisp, kairos_config);
+  // One worker: every request after the first throw is served by the worker
+  // that caught it.
+  AdmissionService service(manager, {/*threads=*/1, /*max_batch=*/2});
+
+  std::vector<std::future<core::AdmissionReport>> futures;
+  for (const graph::Application& app : pool) {
+    futures.push_back(service.submit(app));
+  }
+  std::size_t admitted = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "request " << i << " never settled";
+    const core::AdmissionReport report = futures[i].get();
+    if (victims.count(pool[i].name()) != 0) {
+      EXPECT_FALSE(report.admitted);
+      EXPECT_EQ(report.handle, -1);
+      EXPECT_NE(report.reason.find("stub mapper exploded on " +
+                                   pool[i].name()),
+                std::string::npos)
+          << report.reason;
+    } else if (report.admitted) {
+      ++admitted;
+    }
+  }
+  EXPECT_GT(admitted, 0u);
+
+  // The worker keeps serving after the throws.
+  const core::AdmissionReport after = service.submit(pool[1]).get();
+  EXPECT_TRUE(after.admitted) << after.reason;
+  service.drain();
+  EXPECT_EQ(service.pending(), 0u);
+  EXPECT_EQ(manager.live_count(), admitted + (after.admitted ? 1u : 0u));
 }
 
 TEST(StageCommitTest, StagedAdmissionCommitsOntoLivePlatform) {

@@ -1,5 +1,5 @@
 // Tests for the telemetry plane's observability half: the SLO time-series
-// sampler (counter differencing, shard-share columns, window aggregation),
+// sampler (counter differencing, window aggregation),
 // the health model, and the TelemetryServer endpoints over a real socket.
 // Compiled only in OBS builds — under NO_OBS the sampler and registry are
 // inert and there is nothing to sample (the serve-protocol test covers the
@@ -58,35 +58,6 @@ TEST(TimeSeriesSamplerTest, DifferencesCountersIntoRates) {
   let_time_pass();
   sampler.sample_now();
   EXPECT_DOUBLE_EQ(sampler.series().back().admissions_per_sec, 0.0);
-}
-
-TEST(TimeSeriesSamplerTest, ShardShareColumnsStayAligned) {
-  Registry registry;
-  const Counter shard0 = registry.counter("service.commits.shard.0");
-  TimeSeriesSampler sampler(registry, {250, 16});
-  sampler.sample_now();
-
-  shard0.add(4);
-  let_time_pass();
-  sampler.sample_now();
-  ASSERT_EQ(sampler.shard_labels(), std::vector<std::string>{"0"});
-  ASSERT_EQ(sampler.series().back().shard_commit_share.size(), 1u);
-  EXPECT_DOUBLE_EQ(sampler.series().back().shard_commit_share[0], 1.0);
-
-  // A new shard label appears mid-run: columns grow, "0" keeps its slot.
-  const Counter shard2 = registry.counter("service.commits.shard.2");
-  shard0.add(1);
-  shard2.add(3);
-  let_time_pass();
-  sampler.sample_now();
-  const auto labels = sampler.shard_labels();
-  ASSERT_EQ(labels.size(), 2u);
-  EXPECT_EQ(labels[0], "0");
-  EXPECT_EQ(labels[1], "2");
-  const std::vector<double> share = sampler.series().back().shard_commit_share;
-  ASSERT_EQ(share.size(), 2u);
-  EXPECT_NEAR(share[0], 0.25, 1e-9);
-  EXPECT_NEAR(share[1], 0.75, 1e-9);
 }
 
 TEST(TimeSeriesSamplerTest, RingIsBoundedAndWindowAggregates) {
@@ -214,16 +185,21 @@ struct Plane {
 TEST(TelemetryServerTest, ServesOpenMetricsAndIndex) {
   Plane plane;
   plane.registry.counter("service.admissions").add(7);
-  plane.registry.counter("service.commit_conflicts.shard.3").add(2);
+  plane.registry.counter("service.commit_conflicts").add(2);
+  plane.registry.gauge("service.queue_depth").set(3);
 
   auto metrics = net::http_get(plane.address, "/metrics");
   ASSERT_TRUE(metrics.ok()) << metrics.error();
   EXPECT_EQ(metrics.value().status, 200);
   const std::string& body = metrics.value().body;
   EXPECT_NE(body.find("kairos_service_admissions_total 7"), std::string::npos);
-  EXPECT_NE(
-      body.find("kairos_service_commit_conflicts_total{shard=\"3\"} 2"),
-      std::string::npos);
+  // Every registry cell is its own unlabelled family.
+  EXPECT_NE(body.find("# TYPE kairos_service_commit_conflicts counter\n"
+                      "kairos_service_commit_conflicts_total 2\n"),
+            std::string::npos);
+  EXPECT_NE(body.find("# TYPE kairos_service_queue_depth gauge\n"
+                      "kairos_service_queue_depth 3\n"),
+            std::string::npos);
   EXPECT_NE(body.find("# EOF"), std::string::npos);
 
   auto index = net::http_get(plane.address, "/");
