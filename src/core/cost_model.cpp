@@ -10,7 +10,16 @@ MappingCostModel::MappingCostModel(CostWeights weights,
       platform_(&platform),
       app_(&app),
       bonuses_(bonuses),
-      missing_penalty_(2.0 * (platform.diameter() + 1)) {}
+      missing_penalty_(2.0 * (platform.diameter() + 1)) {
+  peer_begin_.reserve(app.task_count() + 1);
+  peer_begin_.push_back(0);
+  for (const auto& task : app.tasks()) {
+    for (const graph::TaskId peer : app.neighbors(task.id())) {
+      peers_.push_back(peer);
+    }
+    peer_begin_.push_back(peers_.size());
+  }
+}
 
 double MappingCostModel::communication_cost(
     graph::TaskId t, platform::ElementId e, const PartialMapping& mapping,
@@ -46,8 +55,7 @@ double MappingCostModel::communication_cost(
 double MappingCostModel::fragmentation_cost(
     graph::TaskId t, platform::ElementId e,
     const PartialMapping& mapping) const {
-  // Peer tasks of t (undirected).
-  const std::vector<graph::TaskId> peers = app_->neighbors(t);
+  const std::span<const graph::TaskId> peers = peers_of(t);
 
   double cost = 0.0;
   for (const platform::ElementId n : platform_->neighbors(e)) {
@@ -87,7 +95,7 @@ double MappingCostModel::wear_cost(platform::ElementId e) const {
 double MappingCostModel::anchor_cost(graph::TaskId t, platform::ElementId e,
                                      const PartialMapping& mapping) const {
 #ifndef NDEBUG
-  for (const graph::TaskId peer : app_->neighbors(t)) {
+  for (const graph::TaskId peer : peers_of(t)) {
     assert(!mapping.is_mapped(peer) &&
            "anchor_cost requires a task with no mapped peers");
   }

@@ -19,6 +19,9 @@
 //    borders of chips — both effects §III-D asks for.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "core/layout.hpp"
 #include "graph/application.hpp"
 #include "platform/platform.hpp"
@@ -151,11 +154,22 @@ class MappingCostModel {
   const CostWeights& weights() const { return weights_; }
 
  private:
+  /// The undirected communication peers of t (Application::neighbors(t)).
+  std::span<const graph::TaskId> peers_of(graph::TaskId t) const {
+    const auto i = static_cast<std::size_t>(t.value);
+    return std::span<const graph::TaskId>(peers_).subspan(
+        peer_begin_.at(i), peer_begin_.at(i + 1) - peer_begin_[i]);
+  }
+
   CostWeights weights_;
   const platform::Platform* platform_;
   const graph::Application* app_;
   FragmentationBonuses bonuses_;
   double missing_penalty_;
+  /// Every task's peers, built once per model: task t's run is
+  /// peers_[peer_begin_[t], peer_begin_[t + 1]).
+  std::vector<graph::TaskId> peers_;
+  std::vector<std::size_t> peer_begin_;
 };
 
 }  // namespace kairos::core

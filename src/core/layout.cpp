@@ -2,19 +2,31 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace kairos::core {
 
 void DistanceOracle::set(platform::ElementId origin,
                          platform::ElementId target, int hops) {
-  distances_[key(origin, target)] = hops;
-}
-
-std::optional<int> DistanceOracle::lookup(platform::ElementId origin,
-                                          platform::ElementId target) const {
-  const auto it = distances_.find(key(origin, target));
-  if (it == distances_.end()) return std::nullopt;
-  return it->second;
+  if (!origin.valid() || !target.valid() ||
+      static_cast<std::size_t>(origin.value) >= element_count_ ||
+      static_cast<std::size_t>(target.value) >= element_count_) {
+    throw std::out_of_range("DistanceOracle::set: invalid element id");
+  }
+  if (hops < 0) {
+    throw std::invalid_argument("DistanceOracle::set: negative distance");
+  }
+  const auto o = static_cast<std::size_t>(origin.value);
+  if (o >= row_of_.size()) row_of_.resize(o + 1, -1);
+  if (row_of_[o] < 0) {
+    row_of_[o] = static_cast<int>(rows_.size());
+    rows_.emplace_back();
+  }
+  std::vector<int>& row = rows_[static_cast<std::size_t>(row_of_[o])];
+  const auto t = static_cast<std::size_t>(target.value);
+  if (t >= row.size()) row.resize(t + 1, -1);
+  if (row[t] < 0) ++size_;
+  row[t] = hops;
 }
 
 PartialMapping::PartialMapping(std::size_t task_count,
@@ -27,18 +39,6 @@ void PartialMapping::assign(graph::TaskId t, platform::ElementId e) {
   slot = e;
   ++tasks_on_element_.at(static_cast<std::size_t>(e.value));
   ++mapped_count_;
-}
-
-bool PartialMapping::is_mapped(graph::TaskId t) const {
-  return task_to_element_.at(static_cast<std::size_t>(t.value)).valid();
-}
-
-platform::ElementId PartialMapping::element_of(graph::TaskId t) const {
-  return task_to_element_.at(static_cast<std::size_t>(t.value));
-}
-
-int PartialMapping::app_tasks_on(platform::ElementId e) const {
-  return tasks_on_element_.at(static_cast<std::size_t>(e.value));
 }
 
 double ExecutionLayout::average_hops() const {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/application.hpp"
@@ -15,28 +14,57 @@
 
 namespace kairos::core {
 
-/// Sparse symmetric-free distance matrix built during the platform search
-/// (§III-D: "A sparse distance matrix is built while searching the platform
-/// for elements. If a required distance lookup fails, a relative high
-/// penalty is given"). Keys are ordered (origin, target) pairs; the matrix
-/// is directional because the search is.
+/// Directional distance matrix built during the platform search (§III-D: "A
+/// sparse distance matrix is built while searching the platform for
+/// elements. If a required distance lookup fails, a relative high penalty is
+/// given"). The semantics are the paper's sparse ones: only the (origin,
+/// target) pairs the search discovered have a distance, keys are ordered
+/// pairs because the search is directional, a later set() of a pair
+/// overwrites the earlier one, and every other lookup fails.
+///
+/// The storage is dense: one row per origin that was ever set, indexed by
+/// target id, with -1 marking a target not discovered from that origin.
+/// Rows grow lazily up to the largest target set, and origins get a row
+/// only on their first set(), so a large platform pays nothing for the
+/// elements a search never reaches. Lookups are two vector reads, with no
+/// hashing.
 class DistanceOracle {
  public:
+  /// An empty matrix over the element ids [0, element_count).
+  explicit DistanceOracle(std::size_t element_count)
+      : element_count_(element_count) {}
+
+  /// Records the hop distance from `origin` to `target`. Throws
+  /// std::out_of_range for an element id outside [0, element_count) and
+  /// std::invalid_argument for a negative distance.
   void set(platform::ElementId origin, platform::ElementId target, int hops);
+
+  /// The recorded distance, or nullopt when the pair was never set (also
+  /// for element ids outside [0, element_count)).
   std::optional<int> lookup(platform::ElementId origin,
-                            platform::ElementId target) const;
-  std::size_t size() const { return distances_.size(); }
-  void clear() { distances_.clear(); }
+                            platform::ElementId target) const {
+    if (!origin.valid() || !target.valid()) return std::nullopt;
+    const auto o = static_cast<std::size_t>(origin.value);
+    if (o >= row_of_.size() || row_of_[o] < 0) return std::nullopt;
+    const std::vector<int>& row = rows_[static_cast<std::size_t>(row_of_[o])];
+    const auto t = static_cast<std::size_t>(target.value);
+    if (t >= row.size() || row[t] < 0) return std::nullopt;
+    return row[t];
+  }
+
+  /// Number of distinct (origin, target) pairs set.
+  std::size_t size() const { return size_; }
+  void clear() {
+    row_of_.clear();
+    rows_.clear();
+    size_ = 0;
+  }
 
  private:
-  static std::uint64_t key(platform::ElementId origin,
-                           platform::ElementId target) {
-    return (static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(origin.value))
-            << 32) |
-           static_cast<std::uint32_t>(target.value);
-  }
-  std::unordered_map<std::uint64_t, int> distances_;
+  std::size_t element_count_;
+  std::vector<int> row_of_;            ///< origin id -> row, -1 if none
+  std::vector<std::vector<int>> rows_;  ///< per origin: target id -> hops
+  std::size_t size_ = 0;
 };
 
 /// The evolving task -> element assignment during the mapping phase, plus
@@ -48,11 +76,15 @@ class PartialMapping {
   PartialMapping(std::size_t task_count, std::size_t element_count);
 
   void assign(graph::TaskId t, platform::ElementId e);
-  bool is_mapped(graph::TaskId t) const;
-  platform::ElementId element_of(graph::TaskId t) const;
+  bool is_mapped(graph::TaskId t) const { return element_of(t).valid(); }
+  platform::ElementId element_of(graph::TaskId t) const {
+    return task_to_element_.at(static_cast<std::size_t>(t.value));
+  }
 
   /// Number of this application's tasks currently placed on `e`.
-  int app_tasks_on(platform::ElementId e) const;
+  int app_tasks_on(platform::ElementId e) const {
+    return tasks_on_element_.at(static_cast<std::size_t>(e.value));
+  }
 
   std::size_t mapped_count() const { return mapped_count_; }
   const std::vector<platform::ElementId>& task_to_element() const {

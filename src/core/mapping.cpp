@@ -136,7 +136,7 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
   platform::Transaction txn(platform, platform::SnapshotScope::kElementsOnly);
 
   PartialMapping mapping(app.task_count(), platform.element_count());
-  DistanceOracle oracle;
+  DistanceOracle oracle(platform.element_count());
   const MappingCostModel cost_model(config_.weights, platform, app,
                                     config_.bonuses);
   const gap::GreedyKnapsackSolver greedy;
@@ -155,13 +155,19 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
   };
 
   // av(e, t): the element can fulfil the resource requirements of the chosen
-  // implementation — type match, pin match, and free-capacity fit.
-  auto available = [&](ElementId e, TaskId t) {
+  // implementation — type match, pin match, and free-capacity fit. `free`
+  // is the element's free capacity, read once by callers that test many
+  // tasks against the same element.
+  auto available_on = [&](const platform::Element& element,
+                          const ResourceVector& free, TaskId t) {
     const auto& pin = pins[static_cast<std::size_t>(t.value)];
-    if (pin.has_value() && *pin != e) return false;
-    const auto& element = platform.element(e);
+    if (pin.has_value() && *pin != element.id()) return false;
     return !element.is_failed() && element.type() == impl(t).target &&
-           requirement(t).fits_within(element.free());
+           requirement(t).fits_within(free);
+  };
+  auto available = [&](ElementId e, TaskId t) {
+    const auto& element = platform.element(e);
+    return available_on(element, element.free(), t);
   };
 
   // Candidates for a task in element-id order (identical to a full scan
@@ -276,8 +282,11 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
       if (ti.empty()) break;  // component finished (or only unreachable left)
       ++result.stats.iterations;
 
+      // T_i is exactly the unmapped tasks at level i, and nothing is mapped
+      // while its origins are collected.
       auto in_ti = [&](TaskId t) {
-        return std::find(ti.begin(), ti.end(), t) != ti.end();
+        return !mapping.is_mapped(t) &&
+               level[static_cast<std::size_t>(t.value)] == i;
       };
 
       // Origins E+ / E- (Fig. 5, lines 7-8): elements of mapped peers that
@@ -305,6 +314,7 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
 
       int available_count = 0;
       int rings_after_enough = -1;
+      gap::GapElement bin;  // one options buffer for every ring element
       while (true) {
         const std::vector<ElementId> ring = search.next_ring();
         ++result.stats.rings;
@@ -315,11 +325,12 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
                       "'");
         }
         for (const ElementId e : ring) {
-          gap::GapElement bin;
+          const platform::Element& element = platform.element(e);
           bin.element = e.value;
-          bin.capacity = platform.element(e).free();
+          bin.capacity = element.free();
+          bin.options.clear();
           for (std::size_t k = 0; k < ti.size(); ++k) {
-            if (!available(e, ti[k])) continue;
+            if (!available_on(element, bin.capacity, ti[k])) continue;
             bin.options.push_back(gap::GapTaskOption{
                 static_cast<int>(k),
                 cost_model.task_cost(ti[k], e, mapping, oracle),

@@ -15,11 +15,14 @@
 //  3. Element search. For each T_i, a directional breadth-first search runs
 //     outwards from the elements hosting the mapped communication peers of
 //     T_i (E+ along out-links for producers, E- along in-links for
-//     consumers), ring by ring, recording distances into the sparse
-//     DistanceOracle. Once enough candidate elements are available, one
-//     extra ring is searched ("we do not stop searching ... if we found
-//     exactly enough elements"), keeping the fragmentation objective
-//     effective.
+//     consumers), ring by ring, recording distances into the
+//     DistanceOracle — the paper's sparse distance matrix: only discovered
+//     (origin, target) pairs have a distance and any other lookup misses,
+//     though the storage is dense per-origin rows so that each lookup in
+//     the cost function is two vector reads. Once enough candidate elements
+//     are available, one extra ring is searched ("we do not stop searching
+//     ... if we found exactly enough elements"), keeping the fragmentation
+//     objective effective.
 //  4. Assignment. Candidates feed the incremental Cohen-Katzir-Raz GAP
 //     solver (one knapsack per element over cost *reductions*); if tasks
 //     remain unassigned the candidate set keeps growing (Fig. 4) until

@@ -14,8 +14,8 @@ GapSolver::GapSolver(int task_count, const KnapsackSolver& knapsack)
 void GapSolver::process_element(const GapElement& element) {
   // Build the knapsack instance: profit is the cost *reduction* over the
   // best known assignment; only positive reductions participate (§III-C).
-  std::vector<KnapsackItem> items;
-  items.reserve(element.options.size());
+  std::vector<KnapsackItem>& items = items_;
+  items.clear();
   // Map from item id back to the option (ids are positions in `options`).
   for (std::size_t k = 0; k < element.options.size(); ++k) {
     const GapTaskOption& option = element.options[k];

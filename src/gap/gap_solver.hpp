@@ -78,6 +78,7 @@ class GapSolver {
   const KnapsackSolver* knapsack_;
   std::vector<double> c1_;
   std::vector<int> assigned_;
+  std::vector<KnapsackItem> items_;  ///< process_element's reused buffer
 };
 
 }  // namespace kairos::gap

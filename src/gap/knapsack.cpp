@@ -20,24 +20,32 @@ double density(const KnapsackItem& item, const ResourceVector& capacity) {
   return item.profit / size;
 }
 
-}  // namespace
-
-KnapsackSelection GreedyKnapsackSolver::solve(
-    const ResourceVector& capacity,
-    const std::vector<KnapsackItem>& items) const {
-  // Candidates: positive profit and individually fitting.
+/// The candidates — items with positive profit that fit on their own — in
+/// order of decreasing density, ties kept in item order. Each density is
+/// computed once and the sort compares the cached doubles.
+std::vector<std::size_t> density_order(const ResourceVector& capacity,
+                                       const std::vector<KnapsackItem>& items) {
   std::vector<std::size_t> order;
-  order.reserve(items.size());
+  std::vector<double> key(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (items[i].profit > 0.0 && items[i].weight.fits_within(capacity)) {
+      key[i] = density(items[i], capacity);
       order.push_back(i);
     }
   }
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return density(items[a], capacity) >
-                            density(items[b], capacity);
+                     return key[a] > key[b];
                    });
+  return order;
+}
+
+}  // namespace
+
+KnapsackSelection GreedyKnapsackSolver::solve(
+    const ResourceVector& capacity,
+    const std::vector<KnapsackItem>& items) const {
+  const std::vector<std::size_t> order = density_order(capacity, items);
 
   std::vector<bool> taken(items.size(), false);
   ResourceVector used;
@@ -134,19 +142,9 @@ class BranchAndBound {
 KnapsackSelection BranchAndBoundKnapsackSolver::solve(
     const ResourceVector& capacity,
     const std::vector<KnapsackItem>& items) const {
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].profit > 0.0 && items[i].weight.fits_within(capacity)) {
-      order.push_back(i);
-    }
-  }
+  const std::vector<std::size_t> order = density_order(capacity, items);
   assert(order.size() <= max_items_ &&
          "instance too large for exact branch-and-bound");
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return density(items[a], capacity) >
-                            density(items[b], capacity);
-                   });
 
   BranchAndBound solver(capacity, items, order);
   solver.run();

@@ -19,30 +19,6 @@ std::string to_string(ResourceKind kind) {
   return "unknown";
 }
 
-ResourceVector& ResourceVector::operator+=(const ResourceVector& rhs) {
-  for (std::size_t i = 0; i < kResourceKindCount; ++i) v_[i] += rhs.v_[i];
-  return *this;
-}
-
-ResourceVector& ResourceVector::operator-=(const ResourceVector& rhs) {
-  for (std::size_t i = 0; i < kResourceKindCount; ++i) v_[i] -= rhs.v_[i];
-  return *this;
-}
-
-bool ResourceVector::fits_within(const ResourceVector& capacity) const {
-  for (std::size_t i = 0; i < kResourceKindCount; ++i) {
-    if (v_[i] > capacity.v_[i]) return false;
-  }
-  return true;
-}
-
-bool ResourceVector::any_negative() const {
-  for (const auto v : v_) {
-    if (v < 0) return true;
-  }
-  return false;
-}
-
 bool ResourceVector::is_zero() const {
   for (const auto v : v_) {
     if (v != 0) return false;

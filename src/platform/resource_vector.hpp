@@ -51,8 +51,14 @@ class ResourceVector {
   std::int64_t io() const { return get(ResourceKind::kIo); }
   std::int64_t config() const { return get(ResourceKind::kConfig); }
 
-  ResourceVector& operator+=(const ResourceVector& rhs);
-  ResourceVector& operator-=(const ResourceVector& rhs);
+  ResourceVector& operator+=(const ResourceVector& rhs) {
+    for (std::size_t i = 0; i < kResourceKindCount; ++i) v_[i] += rhs.v_[i];
+    return *this;
+  }
+  ResourceVector& operator-=(const ResourceVector& rhs) {
+    for (std::size_t i = 0; i < kResourceKindCount; ++i) v_[i] -= rhs.v_[i];
+    return *this;
+  }
   friend ResourceVector operator+(ResourceVector lhs,
                                   const ResourceVector& rhs) {
     return lhs += rhs;
@@ -66,10 +72,20 @@ class ResourceVector {
 
   /// True iff every component of *this is <= the corresponding component of
   /// `capacity` — the av(e,t) feasibility test of §III-B.
-  bool fits_within(const ResourceVector& capacity) const;
+  bool fits_within(const ResourceVector& capacity) const {
+    for (std::size_t i = 0; i < kResourceKindCount; ++i) {
+      if (v_[i] > capacity.v_[i]) return false;
+    }
+    return true;
+  }
 
   /// True iff any component is negative (used to detect over-release).
-  bool any_negative() const;
+  bool any_negative() const {
+    for (const auto v : v_) {
+      if (v < 0) return true;
+    }
+    return false;
+  }
 
   /// True iff all components are zero.
   bool is_zero() const;

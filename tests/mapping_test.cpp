@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "core/cost_model.hpp"
 #include "core/mapping.hpp"
@@ -57,12 +58,44 @@ PinTable no_pins(const Application& app) {
 // --- DistanceOracle ----------------------------------------------------------
 
 TEST(DistanceOracleTest, SetAndLookup) {
-  DistanceOracle oracle;
+  DistanceOracle oracle(5);
   oracle.set(ElementId{1}, ElementId{2}, 5);
   ASSERT_TRUE(oracle.lookup(ElementId{1}, ElementId{2}).has_value());
   EXPECT_EQ(*oracle.lookup(ElementId{1}, ElementId{2}), 5);
   EXPECT_FALSE(oracle.lookup(ElementId{2}, ElementId{1}).has_value());
   EXPECT_EQ(oracle.size(), 1u);
+}
+
+TEST(DistanceOracleTest, InvalidIdsThrowOnSetAndMissOnLookup) {
+  DistanceOracle oracle(4);
+  oracle.set(ElementId{0}, ElementId{3}, 2);
+  // An invalid element id, negative or past the platform, is never indexed
+  // and never grows a row: set() throws, lookup() misses.
+  EXPECT_THROW(oracle.set(ElementId{-1}, ElementId{0}, 1), std::out_of_range);
+  EXPECT_THROW(oracle.set(ElementId{0}, ElementId{-1}, 1), std::out_of_range);
+  EXPECT_THROW(oracle.set(ElementId{4}, ElementId{0}, 1), std::out_of_range);
+  EXPECT_THROW(oracle.set(ElementId{0}, ElementId{4}, 1), std::out_of_range);
+  EXPECT_THROW(oracle.set(ElementId{0}, ElementId{1}, -1),
+               std::invalid_argument);
+  EXPECT_FALSE(oracle.lookup(ElementId{-1}, ElementId{3}).has_value());
+  EXPECT_FALSE(oracle.lookup(ElementId{0}, ElementId{-1}).has_value());
+  EXPECT_FALSE(oracle.lookup(ElementId{0}, ElementId{1 << 30}).has_value());
+  EXPECT_FALSE(oracle.lookup(ElementId{1 << 30}, ElementId{0}).has_value());
+  EXPECT_EQ(oracle.lookup(ElementId{0}, ElementId{3}), 2);
+  EXPECT_EQ(oracle.size(), 1u);
+}
+
+TEST(DistanceOracleTest, OverwriteKeepsOnePairAndClearEmpties) {
+  DistanceOracle oracle(8);
+  oracle.set(ElementId{5}, ElementId{6}, 3);
+  oracle.set(ElementId{5}, ElementId{6}, 0);
+  EXPECT_EQ(oracle.lookup(ElementId{5}, ElementId{6}), 0);
+  EXPECT_FALSE(oracle.lookup(ElementId{5}, ElementId{7}).has_value());
+  EXPECT_FALSE(oracle.lookup(ElementId{5}, ElementId{2}).has_value());
+  EXPECT_EQ(oracle.size(), 1u);
+  oracle.clear();
+  EXPECT_EQ(oracle.size(), 0u);
+  EXPECT_FALSE(oracle.lookup(ElementId{5}, ElementId{6}).has_value());
 }
 
 // --- PartialMapping ------------------------------------------------------------
@@ -85,7 +118,7 @@ TEST(CostModelTest, CommunicationCostUsesDistanceTimesBandwidth) {
   Platform p = platform::make_chain(5);
   Application app = make_pipeline(2, ElementType::kGeneric, 100, 7);
   PartialMapping m(2, 5);
-  DistanceOracle oracle;
+  DistanceOracle oracle(5);
   m.assign(TaskId{0}, ElementId{0});
   oracle.set(ElementId{0}, ElementId{3}, 3);
 
@@ -99,7 +132,7 @@ TEST(CostModelTest, MissingDistanceChargesPenalty) {
   Platform p = platform::make_chain(5);
   Application app = make_pipeline(2, ElementType::kGeneric, 100, 2);
   PartialMapping m(2, 5);
-  DistanceOracle oracle;  // empty: every lookup fails
+  DistanceOracle oracle(5);  // empty: every lookup fails
   m.assign(TaskId{0}, ElementId{0});
   MappingCostModel model({1.0, 0.0}, p, app);
   EXPECT_DOUBLE_EQ(model.communication_cost(TaskId{1}, ElementId{4}, m,
@@ -112,7 +145,7 @@ TEST(CostModelTest, UnmappedPeersAreLeftOut) {
   Platform p = platform::make_chain(5);
   Application app = make_pipeline(3);
   PartialMapping m(3, 5);
-  DistanceOracle oracle;
+  DistanceOracle oracle(5);
   MappingCostModel model({1.0, 0.0}, p, app);
   // Task 1's peers (0 and 2) are unmapped: no communication cost at all.
   EXPECT_DOUBLE_EQ(model.communication_cost(TaskId{1}, ElementId{2}, m,
@@ -124,7 +157,7 @@ TEST(CostModelTest, CoLocationIsFree) {
   Platform p = platform::make_chain(5);
   Application app = make_pipeline(2);
   PartialMapping m(2, 5);
-  DistanceOracle oracle;
+  DistanceOracle oracle(5);
   m.assign(TaskId{0}, ElementId{1});
   MappingCostModel model({1.0, 0.0}, p, app);
   EXPECT_DOUBLE_EQ(model.communication_cost(TaskId{1}, ElementId{1}, m,
@@ -136,7 +169,7 @@ TEST(CostModelTest, FragmentationPrefersFriendlyNeighborhoods) {
   Platform p = platform::make_chain(5);  // 0-1-2-3-4
   Application app = make_pipeline(3);
   PartialMapping m(3, 5);
-  DistanceOracle oracle;
+  DistanceOracle oracle(5);
   MappingCostModel model({0.0, 1.0}, p, app);
 
   // Element 2's neighbors are free: full fragmentation price (2 neighbors).
@@ -179,7 +212,7 @@ TEST(CostModelTest, WeightsScaleAndDisableObjectives) {
   Platform p = platform::make_chain(3);
   Application app = make_pipeline(2);
   PartialMapping m(2, 3);
-  DistanceOracle oracle;
+  DistanceOracle oracle(3);
   m.assign(TaskId{0}, ElementId{0});
   oracle.set(ElementId{0}, ElementId{2}, 2);
 

@@ -4,7 +4,9 @@
 // bench output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "core/resource_manager.hpp"
 #include "gen/beamforming.hpp"
@@ -143,13 +145,23 @@ TEST(PaperRegressionTest, BeamformingAdmissionBandExists) {
 }
 
 // §IV-A: mapping the 53-task beamformer scales well — its share of the
-// total allocation time stays moderate.
+// total allocation time stays moderate. The share is a wall-clock ratio, so
+// one admission preempted mid-mapping can read high; the median over
+// repeated admit/remove rounds on one manager is what is asserted.
 TEST(PaperRegressionTest, BeamformingMappingScalesWell) {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager kairos(crisp, paper_config());
-  const auto report = kairos.admit(gen::make_beamforming_application());
-  ASSERT_TRUE(report.admitted) << report.reason;
-  EXPECT_LT(report.times.mapping_ms, report.times.total_ms() * 0.75);
+  const graph::Application app = gen::make_beamforming_application();
+  constexpr int kReps = 15;
+  std::vector<double> shares;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto report = kairos.admit(app);
+    ASSERT_TRUE(report.admitted) << report.reason;
+    shares.push_back(report.times.mapping_ms / report.times.total_ms());
+    ASSERT_TRUE(kairos.remove(report.handle).ok());
+  }
+  std::nth_element(shares.begin(), shares.begin() + kReps / 2, shares.end());
+  EXPECT_LT(shares[kReps / 2], 0.75);
 }
 
 }  // namespace
