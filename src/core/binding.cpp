@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstdint>
 #include <limits>
 
 #include "platform/availability.hpp"
@@ -58,11 +59,11 @@ namespace {
 /// the mapping phase. The scratch is only a feasibility oracle — the actual
 /// placement decision is the mapping phase's.
 ///
-/// Backed by a pooled AvailabilityIndex: the regret loop performs
-/// O(tasks² · implementations) covers() probes per admission, so the old
-/// linear scan made binding the dominant cost on large platforms. The index
-/// answers each probe in O(log V) and claims the same element a linear
-/// first-fit would (lowest id), keeping decisions bit-identical.
+/// Backed by a pooled AvailabilityIndex, which answers covers() in O(log V)
+/// and claims the same element a linear first fit would (lowest id). The
+/// regret loop does not probe it per (task, implementation, round): it asks
+/// a FeasibilityClass (below), which probes at most once between two claims
+/// of its type.
 struct Pool {
   platform::ScratchAvailability avail;
 
@@ -90,6 +91,118 @@ struct Pool {
   }
 };
 
+/// One distinct (target type, requirement) pair among the implementations
+/// of a bind's unpinned tasks. An unpinned implementation is feasible iff
+/// pool.covers(target, requirement), so every implementation of a class
+/// shares one verdict. The verdict is probed lazily, when the regret loop
+/// first asks for it, so tasks meet their verdicts in the same order (and
+/// the first infeasible task fails with the same reason) as when every
+/// implementation probes for itself, with at most as many probes.
+///
+/// Claims only shrink the pool, so a "no" stays "no". A "yes" holds until
+/// the next claim from an element of its target type: it records that
+/// type's claim count when probed, and reads as unknown once the count has
+/// moved on — an O(1) reset of every "yes" of the claimed type.
+struct FeasibilityClass {
+  enum class Verdict : std::uint8_t { kUnknown, kYes, kNo };
+
+  ElementType target;
+  Verdict verdict = Verdict::kUnknown;
+  std::uint32_t claims_seen = 0;
+  /// The requirement of the class's first implementation, in the app.
+  const ResourceVector* requirement;
+};
+
+/// Per-thread buffers of bind(), reused across calls (like RouterScratch in
+/// noc/router.cpp) so that small applications allocate nothing but their
+/// result. The regret loop reads only these flat arrays and the classes.
+struct BindScratch {
+  /// One implementation as the regret loop sees it: its feasibility class
+  /// (-1 for the implementations of pinned tasks, which are checked
+  /// against their pin) and its cost.
+  struct Option {
+    int cls;
+    double cost;
+  };
+
+  std::vector<FeasibilityClass> classes;
+  /// Per implementation, task-major.
+  std::vector<Option> options;
+  /// Per task, plus one: offset of its first implementation in `options`.
+  std::vector<std::uint32_t> first_option;
+  /// Open-addressing index of `classes` by (target, requirement); -1 = empty.
+  std::vector<int> slots;
+  /// Per element type: claims made so far in this bind.
+  std::array<std::uint32_t, platform::kElementTypeCount> claims{};
+
+  void reset(const graph::Application& app, const PinTable& pins) {
+    classes.clear();
+    options.clear();
+    first_option.clear();
+    claims.fill(0);
+    std::size_t impls = 0;
+    for (const auto& task : app.tasks()) impls += task.implementations().size();
+    std::size_t capacity = 8;
+    while (capacity < 2 * impls) capacity *= 2;
+    slots.assign(capacity, -1);
+    for (const auto& task : app.tasks()) {
+      first_option.push_back(static_cast<std::uint32_t>(options.size()));
+      const bool pinned =
+          pins[static_cast<std::size_t>(task.id().value)].has_value();
+      for (const auto& impl : task.implementations()) {
+        options.push_back({pinned ? -1 : class_index(impl), impl.cost});
+      }
+    }
+    first_option.push_back(static_cast<std::uint32_t>(options.size()));
+  }
+
+  int class_index(const graph::Implementation& impl) {
+    // FNV-style mix of the target and the requirement's components.
+    std::uint64_t h = static_cast<std::uint64_t>(impl.target);
+    for (std::size_t k = 0; k < platform::kResourceKindCount; ++k) {
+      h = (h ^ static_cast<std::uint64_t>(impl.requirement.get(
+                   static_cast<platform::ResourceKind>(k)))) *
+          0x100000001b3ULL;
+    }
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      if (slots[i] < 0) {
+        slots[i] = static_cast<int>(classes.size());
+        classes.push_back({impl.target, FeasibilityClass::Verdict::kUnknown,
+                           0, &impl.requirement});
+        return slots[i];
+      }
+      const auto& cls = classes[static_cast<std::size_t>(slots[i])];
+      if (cls.target == impl.target && *cls.requirement == impl.requirement) {
+        return slots[i];
+      }
+    }
+  }
+
+  bool feasible(int c, const Pool& pool) {
+    FeasibilityClass& cls = classes[static_cast<std::size_t>(c)];
+    const std::uint32_t now = claims[static_cast<std::size_t>(cls.target)];
+    if (cls.verdict == FeasibilityClass::Verdict::kUnknown ||
+        (cls.verdict == FeasibilityClass::Verdict::kYes &&
+         cls.claims_seen != now)) {
+      cls.verdict = pool.covers(cls.target, *cls.requirement)
+                        ? FeasibilityClass::Verdict::kYes
+                        : FeasibilityClass::Verdict::kNo;
+      cls.claims_seen = now;
+    }
+    return cls.verdict == FeasibilityClass::Verdict::kYes;
+  }
+
+  void on_claim(ElementType type) {
+    ++claims[static_cast<std::size_t>(type)];
+  }
+};
+
+BindScratch& bind_scratch() {
+  thread_local BindScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 BindingResult BindingPhase::bind(const graph::Application& app,
@@ -98,20 +211,15 @@ BindingResult BindingPhase::bind(const graph::Application& app,
   result.impl_of.assign(app.task_count(), -1);
 
   Pool pool(*platform_);
-  std::vector<bool> bound(app.task_count(), false);
-  std::size_t remaining = app.task_count();
-
-  // Feasibility of one implementation for one task, under the current pool.
-  auto feasible = [&](const graph::Task& task,
-                      const graph::Implementation& impl) {
-    const auto idx = static_cast<std::size_t>(task.id().value);
-    if (pins[idx].has_value()) {
-      const auto& element = platform_->element(*pins[idx]);
-      return element.type() == impl.target &&
-             pool.covers_pinned(*platform_, *pins[idx], impl.requirement);
-    }
-    return pool.covers(impl.target, impl.requirement);
+  // A pinned task's implementation is feasible only on its pin.
+  auto pinned_feasible = [&](const graph::Implementation& impl,
+                             ElementId pin) {
+    return platform_->element(pin).type() == impl.target &&
+           pool.covers_pinned(*platform_, pin, impl.requirement);
   };
+  BindScratch& scratch = bind_scratch();
+  scratch.reset(app, pins);
+  std::size_t remaining = app.task_count();
 
   while (remaining > 0) {
     // For every unbound task: cheapest and second-cheapest feasible
@@ -122,24 +230,32 @@ BindingResult BindingPhase::bind(const graph::Application& app,
     double pick_regret = -1.0;
     double pick_cost = kInf;
 
-    for (const auto& task : app.tasks()) {
-      const auto idx = static_cast<std::size_t>(task.id().value);
-      if (bound[idx]) continue;
+    for (std::size_t idx = 0; idx < app.task_count(); ++idx) {
+      if (result.impl_of[idx] >= 0) continue;  // bound in an earlier round
+      const auto* options = scratch.options.data() + scratch.first_option[idx];
+      const std::size_t count =
+          scratch.first_option[idx + 1] - scratch.first_option[idx];
       double best = kInf;
       double second = kInf;
       int best_impl = -1;
-      for (std::size_t k = 0; k < task.implementations().size(); ++k) {
-        const auto& impl = task.implementations()[k];
-        if (!feasible(task, impl)) continue;
-        if (impl.cost < best) {
+      for (std::size_t k = 0; k < count; ++k) {
+        const bool feasible =
+            options[k].cls >= 0
+                ? scratch.feasible(options[k].cls, pool)
+                : pinned_feasible(app.tasks()[idx].implementations()[k],
+                                  *pins[idx]);
+        if (!feasible) continue;
+        const double cost = options[k].cost;
+        if (cost < best) {
           second = best;
-          best = impl.cost;
+          best = cost;
           best_impl = static_cast<int>(k);
-        } else if (impl.cost < second) {
-          second = impl.cost;
+        } else if (cost < second) {
+          second = cost;
         }
       }
       if (best_impl < 0) {
+        const auto& task = app.tasks()[idx];
         result.failed_task = task.id();
         result.reason = "no feasible implementation for task '" +
                         task.name() + "' (resources exhausted)";
@@ -152,7 +268,7 @@ BindingResult BindingPhase::bind(const graph::Application& app,
           regret > pick_regret ||
           (regret == pick_regret && best < pick_cost);
       if (!pick.valid() || better) {
-        pick = task.id();
+        pick = TaskId(static_cast<std::int32_t>(idx));
         pick_impl = best_impl;
         pick_regret = regret;
         pick_cost = best;
@@ -170,7 +286,9 @@ BindingResult BindingPhase::bind(const graph::Application& app,
     } else {
       pool.claim(impl.target, impl.requirement);
     }
-    bound[pick_idx] = true;
+    // Either claim shrinks an element of impl.target (a pin's type equals
+    // its implementation's target, or it would not have been feasible).
+    scratch.on_claim(impl.target);
     --remaining;
   }
 

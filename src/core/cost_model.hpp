@@ -154,6 +154,18 @@ class MappingCostModel {
   const CostWeights& weights() const { return weights_; }
 
  private:
+  friend class NeighborhoodPricer;
+
+  /// The hop distance the communication term charges between a mapped
+  /// peer's element and candidate e.
+  double peer_distance(platform::ElementId peer_element, platform::ElementId e,
+                       const DistanceOracle& distances) const;
+
+  /// Neighbor n's fragmentation bonus when it hosts no peer of the task
+  /// priced: same application, else other application, else none.
+  double non_peer_bonus(platform::ElementId n,
+                        const PartialMapping& mapping) const;
+
   /// The undirected communication peers of t (Application::neighbors(t)).
   std::span<const graph::TaskId> peers_of(graph::TaskId t) const {
     const auto i = static_cast<std::size_t>(t.value);
@@ -161,15 +173,89 @@ class MappingCostModel {
         peer_begin_.at(i), peer_begin_.at(i + 1) - peer_begin_[i]);
   }
 
+  /// One channel incident to a task, seen from that task: the other end
+  /// and the channel's bandwidth.
+  struct ChannelTerm {
+    graph::TaskId peer;
+    std::int64_t bandwidth = 0;
+  };
+
   CostWeights weights_;
   const platform::Platform* platform_;
-  const graph::Application* app_;
   FragmentationBonuses bonuses_;
   double missing_penalty_;
   /// Every task's peers, built once per model: task t's run is
   /// peers_[peer_begin_[t], peer_begin_[t + 1]).
   std::vector<graph::TaskId> peers_;
   std::vector<std::size_t> peer_begin_;
+  /// Every task's channels, out-channels then in-channels in the
+  /// application's order (communication_cost sums in this order): task t's
+  /// run is terms_[term_begin_[t], term_begin_[t + 1]).
+  std::vector<ChannelTerm> terms_;
+  std::vector<std::size_t> term_begin_;
+};
+
+/// task_cost for every task of a neighborhood T_i against one candidate
+/// element at a time, as the mapper's ring loop asks for it. Nothing is
+/// mapped while a neighborhood's candidates are priced, so start() collects
+/// each task's mapped peers once, and set_element() reads the element's
+/// task-independent terms (its neighbors' non-peer bonuses, load, wear)
+/// once. A task's cost then depends only on its channels to mapped peers
+/// and its mapped peers' elements; tasks equal in both (a fan-out's
+/// consumers, say) form one class, priced once per element. cost(k) equals
+/// task_cost(tasks[k], e, mapping, distances) bit for bit: the same terms
+/// are summed in the same order.
+class NeighborhoodPricer {
+ public:
+  NeighborhoodPricer(const MappingCostModel& model,
+                     const PartialMapping& mapping,
+                     const DistanceOracle& distances)
+      : model_(&model), mapping_(&mapping), distances_(&distances) {}
+
+  /// Starts a neighborhood; the mapping must not change until the next
+  /// start().
+  void start(const std::vector<graph::TaskId>& tasks);
+
+  /// Selects the candidate element the next cost() calls price.
+  void set_element(platform::ElementId e);
+
+  /// task_cost of the k-th task of start()'s list on the selected element.
+  double cost(std::size_t k);
+
+ private:
+  /// A channel towards a mapped peer: the peer's element and the bandwidth.
+  struct MappedTerm {
+    platform::ElementId element;
+    std::int64_t bandwidth = 0;
+
+    friend bool operator==(const MappedTerm&, const MappedTerm&) = default;
+  };
+
+  double price(std::size_t c) const;
+
+  const MappingCostModel* model_;
+  const PartialMapping* mapping_;
+  const DistanceOracle* distances_;
+  /// The class of each task of start()'s list.
+  std::vector<std::size_t> class_of_;
+  /// Class c's channels to mapped peers, in communication_cost's order:
+  /// terms_[term_begin_[c], term_begin_[c + 1]).
+  std::vector<MappedTerm> terms_;
+  std::vector<std::size_t> term_begin_;
+  /// Class c's mapped peers' elements (one per distinct peer):
+  /// peer_elements_[peer_begin_[c], peer_begin_[c + 1]).
+  std::vector<platform::ElementId> peer_elements_;
+  std::vector<std::size_t> peer_begin_;
+  /// The selected element, its neighbors and each neighbor's bonus when it
+  /// hosts no peer of the task priced.
+  platform::ElementId element_;
+  std::span<const platform::ElementId> neighbors_;
+  std::vector<double> base_bonus_;
+  double load_balance_ = 0.0;
+  double wear_ = 0.0;
+  /// Each class's cost on the selected element, valid where priced_ is set.
+  std::vector<double> class_cost_;
+  std::vector<char> priced_;
 };
 
 }  // namespace kairos::core

@@ -29,53 +29,61 @@ struct Origin {
 /// Ring-by-ring multi-origin BFS over the platform. Each origin runs its own
 /// BFS (so per-origin distances are exact and feed the DistanceOracle); the
 /// rings reported to the caller contain globally newly discovered elements.
+/// One search serves every neighborhood of a map() call: start() resets it,
+/// and its buffers keep their capacity from one neighborhood to the next.
 class RingSearch {
  public:
-  RingSearch(const Platform& platform, const std::vector<Origin>& origins,
-             DistanceOracle& oracle)
-      : platform_(&platform), oracle_(&oracle) {
-    per_origin_.reserve(origins.size());
-    for (const Origin& o : origins) {
-      PerOrigin po;
+  RingSearch(const Platform& platform, DistanceOracle& oracle)
+      : platform_(&platform),
+        oracle_(&oracle),
+        element_count_(platform.element_count()) {}
+
+  /// Starts a new search from `origins`.
+  void start(const std::vector<Origin>& origins) {
+    origin_count_ = origins.size();
+    if (per_origin_.size() < origin_count_) per_origin_.resize(origin_count_);
+    discovered_.assign(element_count_, 0);
+    for (std::size_t k = 0; k < origin_count_; ++k) {
+      const Origin& o = origins[k];
+      PerOrigin& po = per_origin_[k];
       po.origin = o;
-      po.visited.assign(platform.element_count(), false);
+      po.visited.assign(element_count_, false);
       po.visited[static_cast<std::size_t>(o.element.value)] = true;
-      po.frontier = {o.element};
+      po.frontier.assign(1, o.element);
       oracle_->set(o.element, o.element, 0);
-      per_origin_.push_back(std::move(po));
     }
-    discovered_.assign(platform.element_count(), false);
+    distance_ = 0;
   }
 
-  /// Advances the search by one ring. Ring 0 returns the origin elements
-  /// themselves (they remain candidates: an element may host several tasks).
-  /// Returns an empty vector once every origin's BFS is exhausted.
-  std::vector<ElementId> next_ring() {
-    std::vector<ElementId> ring;
+  /// Advances the search by one ring into `ring`. Ring 0 is the origin
+  /// elements themselves (they remain candidates: an element may host
+  /// several tasks). The ring is empty once every origin's BFS is exhausted.
+  void next_ring(std::vector<ElementId>& ring) {
+    ring.clear();
     if (distance_ == 0) {
-      for (const auto& po : per_origin_) {
-        claim(po.origin.element, ring);
+      for (std::size_t k = 0; k < origin_count_; ++k) {
+        claim(per_origin_[k].origin.element, ring);
       }
       ++distance_;
-      return ring;
+      return;
     }
-    for (auto& po : per_origin_) {
-      std::vector<ElementId> next;
+    for (std::size_t k = 0; k < origin_count_; ++k) {
+      PerOrigin& po = per_origin_[k];
+      next_.clear();
       for (const ElementId e : po.frontier) {
         if (po.origin.forward) {
           for (const platform::LinkId l : platform_->out_links(e)) {
-            step(po, platform_->link(l).dst(), next, ring);
+            step(po, platform_->link(l).dst(), ring);
           }
         } else {
           for (const platform::LinkId l : platform_->in_links(e)) {
-            step(po, platform_->link(l).src(), next, ring);
+            step(po, platform_->link(l).src(), ring);
           }
         }
       }
-      po.frontier = std::move(next);
+      po.frontier.swap(next_);
     }
     ++distance_;
-    return ring;
   }
 
  private:
@@ -88,13 +96,12 @@ class RingSearch {
   void claim(ElementId e, std::vector<ElementId>& ring) {
     auto idx = static_cast<std::size_t>(e.value);
     if (!discovered_[idx]) {
-      discovered_[idx] = true;
+      discovered_[idx] = 1;
       ring.push_back(e);
     }
   }
 
-  void step(PerOrigin& po, ElementId next, std::vector<ElementId>& frontier,
-            std::vector<ElementId>& ring) {
+  void step(PerOrigin& po, ElementId next, std::vector<ElementId>& ring) {
     const auto idx = static_cast<std::size_t>(next.value);
     if (po.visited[idx]) return;
     // A failed element has a dead router: the search neither offers it as a
@@ -103,14 +110,17 @@ class RingSearch {
     if (platform_->element(next).is_failed()) return;
     po.visited[idx] = true;
     oracle_->set(po.origin.element, next, distance_);
-    frontier.push_back(next);
+    next_.push_back(next);
     claim(next, ring);
   }
 
   const Platform* platform_;
   DistanceOracle* oracle_;
-  std::vector<PerOrigin> per_origin_;
-  std::vector<bool> discovered_;
+  std::size_t element_count_;
+  std::size_t origin_count_ = 0;
+  std::vector<PerOrigin> per_origin_;  ///< the first origin_count_ are live
+  std::vector<char> discovered_;
+  std::vector<ElementId> next_;  ///< the frontier being built
   int distance_ = 0;
 };
 
@@ -145,10 +155,15 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
       config_.exact_knapsack ? static_cast<const gap::KnapsackSolver&>(exact)
                              : greedy;
 
+  // Every task's chosen implementation, resolved once.
+  std::vector<const graph::Implementation*> chosen;
+  chosen.reserve(app.task_count());
+  for (const auto& task : app.tasks()) {
+    chosen.push_back(&task.implementations().at(static_cast<std::size_t>(
+        impl_of[static_cast<std::size_t>(task.id().value)])));
+  }
   auto impl = [&](TaskId t) -> const graph::Implementation& {
-    const auto& task = app.task(t);
-    return task.implementations().at(
-        static_cast<std::size_t>(impl_of[static_cast<std::size_t>(t.value)]));
+    return *chosen[static_cast<std::size_t>(t.value)];
   };
   auto requirement = [&](TaskId t) -> const ResourceVector& {
     return impl(t).requirement;
@@ -215,6 +230,12 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
       }
     }
   }
+
+  // Buffers reused by every neighborhood below.
+  RingSearch search(platform, oracle);
+  NeighborhoodPricer pricer(cost_model, mapping, oracle);
+  std::vector<ElementId> ring;
+  gap::GapElement bin;  // one options buffer for every ring element
 
   // ---- main loop: one pass per connected component ------------------------
   while (mapping.mapped_count() < app.task_count()) {
@@ -309,14 +330,14 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
       assert(!origins.empty() &&
              "a level-i task must have a mapped level-(i-1) peer");
 
-      RingSearch search(platform, origins, oracle);
+      search.start(origins);
+      pricer.start(ti);
       gap::GapSolver gap(static_cast<int>(ti.size()), knapsack);
 
       int available_count = 0;
       int rings_after_enough = -1;
-      gap::GapElement bin;  // one options buffer for every ring element
       while (true) {
-        const std::vector<ElementId> ring = search.next_ring();
+        search.next_ring(ring);
         ++result.stats.rings;
         if (ring.empty()) {
           if (gap.all_assigned()) break;
@@ -331,10 +352,9 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
           bin.options.clear();
           for (std::size_t k = 0; k < ti.size(); ++k) {
             if (!available_on(element, bin.capacity, ti[k])) continue;
+            if (bin.options.empty()) pricer.set_element(e);
             bin.options.push_back(gap::GapTaskOption{
-                static_cast<int>(k),
-                cost_model.task_cost(ti[k], e, mapping, oracle),
-                requirement(ti[k])});
+                static_cast<int>(k), pricer.cost(k), requirement(ti[k])});
           }
           if (!bin.options.empty()) {
             gap.process_element(bin);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <mutex>
+#include <utility>
 
 #include "mappers/incremental_mapper.hpp"
 #include "obs/metrics.hpp"
@@ -226,9 +227,10 @@ StagedAdmission ResourceManager::stage(const graph::Application& app,
   }
   for (const auto& channel : app.channels()) {
     const auto idx = static_cast<std::size_t>(channel.id.value);
+    // The layout keeps a copy; the commit bookkeeping takes the original.
     report.layout.set_route(channel.id, routed.routes[idx].route,
                             routed.routes[idx].bandwidth);
-    staged.routes.emplace_back(routed.routes[idx].route,
+    staged.routes.emplace_back(std::move(routed.routes[idx].route),
                                routed.routes[idx].bandwidth);
   }
 

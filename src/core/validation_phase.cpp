@@ -11,45 +11,67 @@ namespace kairos::core {
 
 namespace {
 
-/// Everything the verdict depends on, as one flat byte string: the analysis
-/// configuration, the observed actor, the constraint, and the SDF model
-/// itself (actor execution times and channel structure; names are ignored by
-/// the analysis). Two admissions with equal signatures get — by construction
-/// — the identical ValidationResult, which is what lets model_memo below
-/// short-circuit re-analysis.
-std::string model_signature(const ValidationConfig& config,
-                            const sdf::SdfGraph& g, sdf::ActorId observed,
-                            double constraint) {
-  std::vector<std::int64_t> words;
-  words.reserve(8 + g.actor_count() + 5 * g.channel_count());
-  words.push_back(static_cast<std::int64_t>(g.actor_count()));
-  words.push_back(static_cast<std::int64_t>(g.channel_count()));
-  words.push_back(observed.value);
-  std::int64_t constraint_bits = 0;
-  static_assert(sizeof(constraint_bits) == sizeof(constraint));
-  std::memcpy(&constraint_bits, &constraint, sizeof(constraint));
-  words.push_back(constraint_bits);
-  words.push_back(config.use_mcr ? 1 : 0);
-  words.push_back(config.throughput.max_states);
-  for (const auto& actor : g.actors()) words.push_back(actor.exec_time);
-  for (const auto& channel : g.channels()) {
-    words.push_back(channel.src.value);
-    words.push_back(channel.dst.value);
-    words.push_back(channel.production);
-    words.push_back(channel.consumption);
-    words.push_back(channel.initial_tokens);
+void put_word(std::string& key, std::int64_t word) {
+  key.append(reinterpret_cast<const char*>(&word), sizeof(word));
+}
+
+void put_bits(std::string& key, double value) {
+  std::int64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(value));
+  std::memcpy(&bits, &value, sizeof(value));
+  put_word(key, bits);
+}
+
+/// Writes into `key` everything the verdict depends on, as one flat string
+/// of 64-bit words taken from build_sdf's *inputs*: the analysis
+/// configuration, the observed actor, the constraint, each task's bound
+/// execution time, and each channel's endpoints, token rate and route
+/// length. build_sdf is a pure function of exactly these (plus names, which
+/// the analysis ignores), so equal keys mean equal SDF models and — by
+/// construction — the identical ValidationResult; model_memo below may then
+/// skip building the model as well as analysing it. The key is the full
+/// word string, not a hash of it, so distinct inputs never collide.
+void model_signature(const ValidationConfig& config,
+                     const graph::Application& app,
+                     const std::vector<int>& impl_of,
+                     const std::vector<ChannelRoute>& routes,
+                     sdf::ActorId observed, std::string& key) {
+  assert(impl_of.size() == app.task_count());
+  assert(routes.size() == app.channel_count());
+  key.clear();
+  key.reserve(sizeof(std::int64_t) *
+              (8 + app.task_count() + 4 * app.channel_count()));
+  put_word(key, config.use_mcr ? 1 : 0);
+  put_word(key, config.throughput.max_states);
+  put_bits(key, config.hop_latency);
+  put_word(key, config.buffer_factor);
+  put_word(key, observed.value);
+  put_bits(key, app.throughput_constraint());
+  put_word(key, static_cast<std::int64_t>(app.task_count()));
+  for (const auto& task : app.tasks()) {
+    const auto idx = static_cast<std::size_t>(task.id().value);
+    put_word(key, task.implementations()
+                      .at(static_cast<std::size_t>(impl_of[idx]))
+                      .exec_time);
   }
-  return std::string(reinterpret_cast<const char*>(words.data()),
-                     words.size() * sizeof(std::int64_t));
+  put_word(key, static_cast<std::int64_t>(app.channel_count()));
+  for (const auto& channel : app.channels()) {
+    put_word(key, channel.src.value);
+    put_word(key, channel.dst.value);
+    put_word(key, channel.tokens);
+    put_word(key,
+             routes[static_cast<std::size_t>(channel.id.value)].route.hops());
+  }
 }
 
 /// Memoised verdicts keyed by model_signature. Thread-local (lock-free under
 /// the concurrent admission service), bounded by wholesale reset. The hit
 /// rate is structural: a recurring application admitted with the same
-/// binding and the same per-channel hop counts builds the identical SDF
-/// model no matter *where* on the platform it landed, and the analysis —
-/// easily the most expensive platform-size-independent part of admission —
-/// need not be repeated for it.
+/// binding and the same per-channel hop counts has the same key no matter
+/// *where* on the platform it landed, and neither the SDF model (one named
+/// actor per task and per routed channel) nor its analysis — easily the
+/// most expensive platform-size-independent part of admission — need be
+/// built again for it.
 std::unordered_map<std::string, ValidationResult>& model_memo() {
   thread_local std::unordered_map<std::string, ValidationResult> memo;
   constexpr std::size_t kMaxEntries = 512;
@@ -58,6 +80,16 @@ std::unordered_map<std::string, ValidationResult>& model_memo() {
 }
 
 }  // namespace
+
+sdf::ActorId ValidationPhase::observed_actor(const graph::Application& app) {
+  // Actor i is task i: build_sdf adds the task actors first, in task order.
+  for (const auto& task : app.tasks()) {
+    if (app.out_channels(task.id()).empty()) {
+      return sdf::ActorId{task.id().value};
+    }
+  }
+  return sdf::ActorId{0};
+}
 
 sdf::SdfGraph ValidationPhase::build_sdf(
     const graph::Application& app, const std::vector<int>& impl_of,
@@ -126,25 +158,16 @@ ValidationResult ValidationPhase::validate(
     return result;
   }
 
-  const sdf::SdfGraph g = build_sdf(app, impl_of, element_of, routes);
-
-  // Observe a sink task (no outgoing channels) — the natural output of a
-  // streaming application; fall back to the first task for cyclic graphs.
-  sdf::ActorId observed{0};
-  for (const auto& task : app.tasks()) {
-    if (app.out_channels(task.id()).empty()) {
-      observed = sdf::ActorId{task.id().value};
-      break;
-    }
-  }
-
-  std::string signature =
-      model_signature(config_, g, observed, app.throughput_constraint());
+  const sdf::ActorId observed = observed_actor(app);
+  // Reused across calls: a memo hit allocates nothing.
+  thread_local std::string signature;
+  model_signature(config_, app, impl_of, routes, observed, signature);
   auto& memo = model_memo();
   if (const auto it = memo.find(signature); it != memo.end()) {
     return it->second;
   }
 
+  const sdf::SdfGraph g = build_sdf(app, impl_of, element_of, routes);
   const ValidationResult computed = [&] {
     if (config_.use_mcr) {
       const sdf::McrResult mcr = sdf::max_cycle_ratio(g);
@@ -190,7 +213,7 @@ ValidationResult ValidationPhase::validate(
     }
     return result;
   }();
-  memo.emplace(std::move(signature), computed);
+  memo.emplace(signature, computed);
   return computed;
 }
 

@@ -60,6 +60,11 @@ class ValidationPhase {
                             const std::vector<platform::ElementId>& element_of,
                             const std::vector<ChannelRoute>& routes) const;
 
+  /// Exposed for tests/benches: the actor whose throughput is checked — a
+  /// sink task (no outgoing channels), the natural output of a streaming
+  /// application, or the first task when every task has a successor.
+  static sdf::ActorId observed_actor(const graph::Application& app);
+
   /// Exposed for tests/benches: the SDF graph the validator analyses.
   sdf::SdfGraph build_sdf(const graph::Application& app,
                           const std::vector<int>& impl_of,

@@ -21,38 +21,54 @@ double density(const KnapsackItem& item, const ResourceVector& capacity) {
 }
 
 /// The candidates — items with positive profit that fit on their own — in
-/// order of decreasing density, ties kept in item order. Each density is
-/// computed once and the sort compares the cached doubles.
-std::vector<std::size_t> density_order(const ResourceVector& capacity,
-                                       const std::vector<KnapsackItem>& items) {
-  std::vector<std::size_t> order;
-  std::vector<double> key(items.size());
+/// order of decreasing density, ties kept in item order, written to `order`.
+/// Each density is computed once into `key`; the stable insertion sort gives
+/// std::stable_sort's order without its temporary buffer, and its O(T²)
+/// worst case is the greedy solver's own bound.
+void density_order(const ResourceVector& capacity,
+                   const std::vector<KnapsackItem>& items,
+                   std::vector<double>& key, std::vector<std::size_t>& order) {
+  order.clear();
+  key.resize(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (items[i].profit > 0.0 && items[i].weight.fits_within(capacity)) {
       key[i] = density(items[i], capacity);
       order.push_back(i);
     }
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return key[a] > key[b];
-                   });
-  return order;
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const std::size_t i = order[k];
+    std::size_t j = k;
+    for (; j > 0 && key[i] > key[order[j - 1]]; --j) order[j] = order[j - 1];
+    order[j] = i;
+  }
 }
+
+/// The greedy solver's buffers, reused across solves on one thread, so a
+/// solve allocates only its result.
+struct GreedyScratch {
+  std::vector<double> key;
+  std::vector<std::size_t> order;
+  std::vector<char> taken;
+};
+
+thread_local GreedyScratch greedy_scratch;
 
 }  // namespace
 
 KnapsackSelection GreedyKnapsackSolver::solve(
     const ResourceVector& capacity,
     const std::vector<KnapsackItem>& items) const {
-  const std::vector<std::size_t> order = density_order(capacity, items);
-
-  std::vector<bool> taken(items.size(), false);
+  GreedyScratch& scratch = greedy_scratch;
+  density_order(capacity, items, scratch.key, scratch.order);
+  const std::vector<std::size_t>& order = scratch.order;
+  std::vector<char>& taken = scratch.taken;
+  taken.assign(items.size(), 0);
   ResourceVector used;
   for (const std::size_t i : order) {
     if ((used + items[i].weight).fits_within(capacity)) {
       used += items[i].weight;
-      taken[i] = true;
+      taken[i] = 1;
     }
   }
 
@@ -67,8 +83,8 @@ KnapsackSelection GreedyKnapsackSolver::solve(
           used - items[j].weight + items[i].weight;
       if (!candidate.any_negative() && candidate.fits_within(capacity)) {
         used = candidate;
-        taken[j] = false;
-        taken[i] = true;
+        taken[j] = 0;
+        taken[i] = 1;
         break;
       }
     }
@@ -142,7 +158,9 @@ class BranchAndBound {
 KnapsackSelection BranchAndBoundKnapsackSolver::solve(
     const ResourceVector& capacity,
     const std::vector<KnapsackItem>& items) const {
-  const std::vector<std::size_t> order = density_order(capacity, items);
+  std::vector<double> key;
+  std::vector<std::size_t> order;
+  density_order(capacity, items, key, order);
   assert(order.size() <= max_items_ &&
          "instance too large for exact branch-and-bound");
 

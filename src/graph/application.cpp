@@ -1,7 +1,6 @@
 #include "graph/application.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 namespace kairos::graph {
@@ -50,22 +49,28 @@ std::vector<TaskId> Application::min_degree_tasks() const {
 std::vector<int> Application::bfs_levels(
     const std::vector<TaskId>& seeds) const {
   std::vector<int> level(tasks_.size(), -1);
-  std::deque<TaskId> queue;
+  // FIFO walked by index: every task enters at most once.
+  std::vector<TaskId> queue;
+  queue.reserve(tasks_.size());
   for (const TaskId s : seeds) {
     if (level[index(s)] == -1) {
       level[index(s)] = 0;
       queue.push_back(s);
     }
   }
-  while (!queue.empty()) {
-    const TaskId t = queue.front();
-    queue.pop_front();
-    for (const TaskId n : neighbors(t)) {
-      if (level[index(n)] == -1) {
-        level[index(n)] = level[index(t)] + 1;
-        queue.push_back(n);
-      }
+  auto visit = [&](TaskId n, int next_level) {
+    if (level[index(n)] == -1) {
+      level[index(n)] = next_level;
+      queue.push_back(n);
     }
+  };
+  // The channel lists are walked directly rather than through neighbors():
+  // a task reached twice keeps its first (equal, BFS) level either way.
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const TaskId t = queue[head];
+    const int next_level = level[index(t)] + 1;
+    for (const ChannelId c : out_channels(t)) visit(channel(c).dst, next_level);
+    for (const ChannelId c : in_channels(t)) visit(channel(c).src, next_level);
   }
   return level;
 }

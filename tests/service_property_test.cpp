@@ -185,7 +185,9 @@ TEST(ServicePropertyTest, DrainQuiescesUnderConcurrentSubmissions) {
     for (auto& future : futures) {
       if (!future.valid()) continue;
       const auto report = future.get();
-      if (report.admitted) ASSERT_TRUE(service.remove(report.handle).ok());
+      if (report.admitted) {
+        ASSERT_TRUE(service.remove(report.handle).ok());
+      }
     }
     futures.clear();
   }
