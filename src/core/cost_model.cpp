@@ -7,15 +7,24 @@ namespace kairos::core {
 MappingCostModel::MappingCostModel(CostWeights weights,
                                    const platform::Platform& platform,
                                    const graph::Application& app,
-                                   FragmentationBonuses bonuses)
-    : weights_(weights),
-      platform_(&platform),
-      bonuses_(bonuses),
-      missing_penalty_(2.0 * (platform.diameter() + 1)) {
+                                   FragmentationBonuses bonuses) {
+  reset(weights, platform, app, bonuses);
+}
+
+void MappingCostModel::reset(CostWeights weights,
+                             const platform::Platform& platform,
+                             const graph::Application& app,
+                             FragmentationBonuses bonuses) {
+  weights_ = weights;
+  platform_ = &platform;
+  bonuses_ = bonuses;
+  missing_penalty_ = 2.0 * (platform.diameter() + 1);
+  peers_.clear();
+  peer_begin_.assign(1, 0);
   peer_begin_.reserve(app.task_count() + 1);
-  peer_begin_.push_back(0);
+  terms_.clear();
+  term_begin_.assign(1, 0);
   term_begin_.reserve(app.task_count() + 1);
-  term_begin_.push_back(0);
   terms_.reserve(2 * app.channels().size());
   // Application::neighbors(t) without its per-task vector: the out-peers
   // then the in-peers, each kept once.

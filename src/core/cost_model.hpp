@@ -114,6 +114,14 @@ class MappingCostModel {
                    const graph::Application& app,
                    FragmentationBonuses bonuses = {});
 
+  /// A model of nothing; reset() gives it an application to price.
+  MappingCostModel() = default;
+
+  /// Becomes the model the constructor would build from the same
+  /// arguments, keeping the tables' capacity.
+  void reset(CostWeights weights, const platform::Platform& platform,
+             const graph::Application& app, FragmentationBonuses bonuses = {});
+
   /// Cost of mapping task t onto element e given the current partial mapping
   /// and the distances discovered so far.
   double task_cost(graph::TaskId t, platform::ElementId e,
@@ -181,9 +189,9 @@ class MappingCostModel {
   };
 
   CostWeights weights_;
-  const platform::Platform* platform_;
+  const platform::Platform* platform_ = nullptr;
   FragmentationBonuses bonuses_;
-  double missing_penalty_;
+  double missing_penalty_ = 0.0;
   /// Every task's peers, built once per model: task t's run is
   /// peers_[peer_begin_[t], peer_begin_[t + 1]).
   std::vector<graph::TaskId> peers_;

@@ -19,8 +19,9 @@ void DistanceOracle::set(platform::ElementId origin,
   const auto o = static_cast<std::size_t>(origin.value);
   if (o >= row_of_.size()) row_of_.resize(o + 1, -1);
   if (row_of_[o] < 0) {
-    row_of_[o] = static_cast<int>(rows_.size());
-    rows_.emplace_back();
+    row_of_[o] = static_cast<int>(rows_used_);
+    if (rows_used_ == rows_.size()) rows_.emplace_back();
+    ++rows_used_;
   }
   std::vector<int>& row = rows_[static_cast<std::size_t>(row_of_[o])];
   const auto t = static_cast<std::size_t>(target.value);
@@ -29,9 +30,24 @@ void DistanceOracle::set(platform::ElementId origin,
   row[t] = hops;
 }
 
+void DistanceOracle::reset(std::size_t element_count) {
+  element_count_ = element_count;
+  row_of_.clear();
+  for (std::size_t r = 0; r < rows_used_; ++r) rows_[r].clear();
+  rows_used_ = 0;
+  size_ = 0;
+}
+
 PartialMapping::PartialMapping(std::size_t task_count,
                                std::size_t element_count)
     : task_to_element_(task_count), tasks_on_element_(element_count, 0) {}
+
+void PartialMapping::reset(std::size_t task_count,
+                           std::size_t element_count) {
+  task_to_element_.assign(task_count, platform::ElementId{});
+  tasks_on_element_.assign(element_count, 0);
+  mapped_count_ = 0;
+}
 
 void PartialMapping::assign(graph::TaskId t, platform::ElementId e) {
   auto& slot = task_to_element_.at(static_cast<std::size_t>(t.value));

@@ -54,16 +54,17 @@ class DistanceOracle {
 
   /// Number of distinct (origin, target) pairs set.
   std::size_t size() const { return size_; }
-  void clear() {
-    row_of_.clear();
-    rows_.clear();
-    size_ = 0;
-  }
+
+  /// Forgets every pair and makes the matrix range over [0,
+  /// element_count). The row storage is kept for the next pairs.
+  void reset(std::size_t element_count);
+  void clear() { reset(element_count_); }
 
  private:
   std::size_t element_count_;
   std::vector<int> row_of_;            ///< origin id -> row, -1 if none
   std::vector<std::vector<int>> rows_;  ///< per origin: target id -> hops
+  std::size_t rows_used_ = 0;          ///< rows_[0, rows_used_) are live
   std::size_t size_ = 0;
 };
 
@@ -74,6 +75,9 @@ class DistanceOracle {
 class PartialMapping {
  public:
   PartialMapping(std::size_t task_count, std::size_t element_count);
+
+  /// Unmaps every task and resizes to the given counts, keeping capacity.
+  void reset(std::size_t task_count, std::size_t element_count);
 
   void assign(graph::TaskId t, platform::ElementId e);
   bool is_mapped(graph::TaskId t) const { return element_of(t).valid(); }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <memory>
 
+#include "core/ring_search.hpp"
 #include "gap/gap_solver.hpp"
 #include "gap/knapsack.hpp"
 
@@ -16,113 +18,53 @@ using platform::ResourceVector;
 
 namespace {
 
-/// One BFS origin: the element of a mapped communication peer, searched
-/// along out-links when the peer produces for T_i (E+) and along in-links
-/// when it consumes from T_i (E-).
-struct Origin {
-  ElementId element;
-  bool forward = true;
+/// Everything map() works in, kept warm between calls so that a call
+/// allocates nothing but its result. Leased from a thread-local pool (so a
+/// nested map() on one thread gets its own); the pricer is bound to this
+/// scratch's mapping, oracle and cost model once, at construction.
+struct MapScratch {
+  MapScratch() = default;
+  MapScratch(const MapScratch&) = delete;
+  MapScratch& operator=(const MapScratch&) = delete;
 
-  friend bool operator==(const Origin&, const Origin&) = default;
+  PartialMapping mapping{0, 0};
+  DistanceOracle oracle{0};
+  MappingCostModel cost_model;
+  NeighborhoodPricer pricer{cost_model, mapping, oracle};
+  RingSearch search;
+  gap::GapSolver gap;
+  gap::GapElement bin;  ///< one options buffer for every ring element
+  std::vector<const graph::Implementation*> chosen;
+  std::vector<ElementId> candidates;
+  std::vector<TaskId> seeds;
+  std::vector<TaskId> level_queue;
+  std::vector<int> level;
+  std::vector<TaskId> ti;
+  std::vector<RingOrigin> origins;
+  std::vector<ElementId> ring;
 };
 
-/// Ring-by-ring multi-origin BFS over the platform. Each origin runs its own
-/// BFS (so per-origin distances are exact and feed the DistanceOracle); the
-/// rings reported to the caller contain globally newly discovered elements.
-/// One search serves every neighborhood of a map() call: start() resets it,
-/// and its buffers keep their capacity from one neighborhood to the next.
-class RingSearch {
- public:
-  RingSearch(const Platform& platform, DistanceOracle& oracle)
-      : platform_(&platform),
-        oracle_(&oracle),
-        element_count_(platform.element_count()) {}
+thread_local std::vector<std::unique_ptr<MapScratch>> scratch_pool;
 
-  /// Starts a new search from `origins`.
-  void start(const std::vector<Origin>& origins) {
-    origin_count_ = origins.size();
-    if (per_origin_.size() < origin_count_) per_origin_.resize(origin_count_);
-    discovered_.assign(element_count_, 0);
-    for (std::size_t k = 0; k < origin_count_; ++k) {
-      const Origin& o = origins[k];
-      PerOrigin& po = per_origin_[k];
-      po.origin = o;
-      po.visited.assign(element_count_, false);
-      po.visited[static_cast<std::size_t>(o.element.value)] = true;
-      po.frontier.assign(1, o.element);
-      oracle_->set(o.element, o.element, 0);
-    }
-    distance_ = 0;
-  }
+/// Hands the scratch back to the pool on scope exit.
+struct ScratchLease {
+  std::unique_ptr<MapScratch> scratch;
 
-  /// Advances the search by one ring into `ring`. Ring 0 is the origin
-  /// elements themselves (they remain candidates: an element may host
-  /// several tasks). The ring is empty once every origin's BFS is exhausted.
-  void next_ring(std::vector<ElementId>& ring) {
-    ring.clear();
-    if (distance_ == 0) {
-      for (std::size_t k = 0; k < origin_count_; ++k) {
-        claim(per_origin_[k].origin.element, ring);
-      }
-      ++distance_;
-      return;
-    }
-    for (std::size_t k = 0; k < origin_count_; ++k) {
-      PerOrigin& po = per_origin_[k];
-      next_.clear();
-      for (const ElementId e : po.frontier) {
-        if (po.origin.forward) {
-          for (const platform::LinkId l : platform_->out_links(e)) {
-            step(po, platform_->link(l).dst(), ring);
-          }
-        } else {
-          for (const platform::LinkId l : platform_->in_links(e)) {
-            step(po, platform_->link(l).src(), ring);
-          }
-        }
-      }
-      po.frontier.swap(next_);
-    }
-    ++distance_;
-  }
-
- private:
-  struct PerOrigin {
-    Origin origin;
-    std::vector<bool> visited;
-    std::vector<ElementId> frontier;
-  };
-
-  void claim(ElementId e, std::vector<ElementId>& ring) {
-    auto idx = static_cast<std::size_t>(e.value);
-    if (!discovered_[idx]) {
-      discovered_[idx] = 1;
-      ring.push_back(e);
+  ScratchLease() {
+    if (scratch_pool.empty()) {
+      scratch = std::make_unique<MapScratch>();
+    } else {
+      scratch = std::move(scratch_pool.back());
+      scratch_pool.pop_back();
     }
   }
-
-  void step(PerOrigin& po, ElementId next, std::vector<ElementId>& ring) {
-    const auto idx = static_cast<std::size_t>(next.value);
-    if (po.visited[idx]) return;
-    // A failed element has a dead router: the search neither offers it as a
-    // candidate nor expands through it, exactly as the routing phase will
-    // refuse to cross it later.
-    if (platform_->element(next).is_failed()) return;
-    po.visited[idx] = true;
-    oracle_->set(po.origin.element, next, distance_);
-    next_.push_back(next);
-    claim(next, ring);
-  }
-
-  const Platform* platform_;
-  DistanceOracle* oracle_;
-  std::size_t element_count_;
-  std::size_t origin_count_ = 0;
-  std::vector<PerOrigin> per_origin_;  ///< the first origin_count_ are live
-  std::vector<char> discovered_;
-  std::vector<ElementId> next_;  ///< the frontier being built
-  int distance_ = 0;
+  ~ScratchLease() { scratch_pool.push_back(std::move(scratch)); }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
 };
+
+const gap::GreedyKnapsackSolver greedy_knapsack;
+const gap::BranchAndBoundKnapsackSolver exact_knapsack;
 
 }  // namespace
 
@@ -145,19 +87,22 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
   // routing phase's business, so the rollback snapshot can skip them.
   platform::Transaction txn(platform, platform::SnapshotScope::kElementsOnly);
 
-  PartialMapping mapping(app.task_count(), platform.element_count());
-  DistanceOracle oracle(platform.element_count());
-  const MappingCostModel cost_model(config_.weights, platform, app,
-                                    config_.bonuses);
-  const gap::GreedyKnapsackSolver greedy;
-  const gap::BranchAndBoundKnapsackSolver exact;
+  const ScratchLease lease;
+  MapScratch& scratch = *lease.scratch;
+  PartialMapping& mapping = scratch.mapping;
+  mapping.reset(app.task_count(), platform.element_count());
+  DistanceOracle& oracle = scratch.oracle;
+  oracle.reset(platform.element_count());
+  MappingCostModel& cost_model = scratch.cost_model;
+  cost_model.reset(config_.weights, platform, app, config_.bonuses);
   const gap::KnapsackSolver& knapsack =
-      config_.exact_knapsack ? static_cast<const gap::KnapsackSolver&>(exact)
-                             : greedy;
+      config_.exact_knapsack
+          ? static_cast<const gap::KnapsackSolver&>(exact_knapsack)
+          : greedy_knapsack;
 
   // Every task's chosen implementation, resolved once.
-  std::vector<const graph::Implementation*> chosen;
-  chosen.reserve(app.task_count());
+  std::vector<const graph::Implementation*>& chosen = scratch.chosen;
+  chosen.clear();
   for (const auto& task : app.tasks()) {
     chosen.push_back(&task.implementations().at(static_cast<std::size_t>(
         impl_of[static_cast<std::size_t>(task.id().value)])));
@@ -188,8 +133,10 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
   // Candidates for a task in element-id order (identical to a full scan
   // through available()), answered from the availability index. `limit`
   // bounds the enumeration: M0 only needs to distinguish 0 / 1 / many.
-  auto available_elements = [&](TaskId t, std::size_t limit) {
-    std::vector<ElementId> out;
+  auto available_elements = [&](TaskId t, std::size_t limit)
+      -> const std::vector<ElementId>& {
+    std::vector<ElementId>& out = scratch.candidates;
+    out.clear();
     const auto& pin = pins[static_cast<std::size_t>(t.value)];
     if (pin.has_value()) {
       if (available(*pin, t)) out.push_back(*pin);
@@ -218,7 +165,7 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
 
   // ---- M0: tasks with a single available element (Fig. 5, line 2) --------
   for (const auto& task : app.tasks()) {
-    const auto avs = available_elements(task.id(), 2);
+    const auto& avs = available_elements(task.id(), 2);
     if (avs.empty()) {
       return fail("no available element for task '" + task.name() + "'");
     }
@@ -232,19 +179,24 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
   }
 
   // Buffers reused by every neighborhood below.
-  RingSearch search(platform, oracle);
-  NeighborhoodPricer pricer(cost_model, mapping, oracle);
-  std::vector<ElementId> ring;
-  gap::GapElement bin;  // one options buffer for every ring element
+  RingSearch& search = scratch.search;
+  NeighborhoodPricer& pricer = scratch.pricer;
+  gap::GapSolver& gap = scratch.gap;
+  gap::GapElement& bin = scratch.bin;
+  std::vector<ElementId>& ring = scratch.ring;
+  std::vector<TaskId>& ti = scratch.ti;
+  std::vector<RingOrigin>& origins = scratch.origins;
+  std::vector<int>& level = scratch.level;
 
   // ---- main loop: one pass per connected component ------------------------
   while (mapping.mapped_count() < app.task_count()) {
     // Neighborhood levels from the currently mapped tasks.
-    std::vector<TaskId> seeds;
+    std::vector<TaskId>& seeds = scratch.seeds;
+    seeds.clear();
     for (const auto& task : app.tasks()) {
       if (mapping.is_mapped(task.id())) seeds.push_back(task.id());
     }
-    std::vector<int> level = app.bfs_levels(seeds);
+    app.bfs_levels(seeds, level, scratch.level_queue);
 
     const bool reachable = std::any_of(
         app.tasks().begin(), app.tasks().end(), [&](const auto& task) {
@@ -267,7 +219,7 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
         }
       }
       assert(anchor.valid());
-      const auto avs = available_elements(
+      const auto& avs = available_elements(
           anchor, std::numeric_limits<std::size_t>::max());
       if (avs.empty()) {
         return fail("no available element for anchor task '" +
@@ -293,7 +245,7 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
 
     // ---- neighborhoods T_i in order of increasing distance ----------------
     for (int i = 1;; ++i) {
-      std::vector<TaskId> ti;
+      ti.clear();
       for (const auto& task : app.tasks()) {
         if (!mapping.is_mapped(task.id()) &&
             level[static_cast<std::size_t>(task.id().value)] == i) {
@@ -312,9 +264,9 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
 
       // Origins E+ / E- (Fig. 5, lines 7-8): elements of mapped peers that
       // produce for (forward) or consume from (backward) tasks in T_i.
-      std::vector<Origin> origins;
+      origins.clear();
       auto add_origin = [&](ElementId e, bool forward) {
-        const Origin o{e, forward};
+        const RingOrigin o{e, forward};
         if (std::find(origins.begin(), origins.end(), o) == origins.end()) {
           origins.push_back(o);
         }
@@ -330,9 +282,9 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
       assert(!origins.empty() &&
              "a level-i task must have a mapped level-(i-1) peer");
 
-      search.start(origins);
+      search.start(platform, origins, oracle);
       pricer.start(ti);
-      gap::GapSolver gap(static_cast<int>(ti.size()), knapsack);
+      gap.reset(static_cast<int>(ti.size()), knapsack);
 
       int available_count = 0;
       int rings_after_enough = -1;

@@ -22,14 +22,18 @@
 //     the cost function is two vector reads. Once enough candidate elements
 //     are available, one extra ring is searched ("we do not stop searching
 //     ... if we found exactly enough elements"), keeping the fragmentation
-//     objective effective.
+//     objective effective. The rings are read from per-origin BFS trees
+//     built once per platform state and shared with the router (see
+//     ring_search.hpp).
 //  4. Assignment. Candidates feed the incremental Cohen-Katzir-Raz GAP
 //     solver (one knapsack per element over cost *reductions*); if tasks
 //     remain unassigned the candidate set keeps growing (Fig. 4) until
 //     either all tasks of T_i are mapped or the platform is exhausted.
 //
 // On success the mapper leaves the task resource demands allocated on the
-// platform; on failure the platform is rolled back to its entry state.
+// platform; on failure the platform is rolled back to its entry state. Its
+// working buffers are thread-local and reused, so a warm map() call
+// allocates only its result.
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 #include "core/resource_manager.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <mutex>
 #include <utility>
@@ -28,20 +29,21 @@ struct AdmissionMetrics {
       obs::Registry::global().histogram("admission.validation_ms");
   obs::Histogram total_ms =
       obs::Registry::global().histogram("admission.total_ms");
+  /// admission.rejected.<phase>, indexed by Phase (kNone's is inert).
+  std::array<obs::Counter, kPhaseCount> rejected = [] {
+    std::array<obs::Counter, kPhaseCount> counters;
+    for (std::size_t p = 1; p < kPhaseCount; ++p) {
+      counters[p] = obs::Registry::global().counter(
+          "admission.rejected." + to_string(static_cast<Phase>(p)));
+    }
+    return counters;
+  }();
 
   static const AdmissionMetrics& get() {
     static const AdmissionMetrics instance;
     return instance;
   }
 };
-
-// Rejections are counted per failing phase; the failure path is cold, so the
-// by-name lookup (one registry lock) is fine here.
-void count_rejection(Phase phase) {
-  obs::Registry::global()
-      .counter("admission.rejected." + to_string(phase))
-      .add(1);
-}
 
 }  // namespace
 
@@ -97,7 +99,6 @@ AdmissionReport ResourceManager::admit_locked(const graph::Application& app) {
 StagedAdmission ResourceManager::stage(const graph::Application& app,
                                        platform::Platform& target) const {
   StagedAdmission staged;
-  staged.app = app;
   AdmissionReport& report = staged.report;
 
   const AdmissionMetrics& metrics = AdmissionMetrics::get();
@@ -113,7 +114,7 @@ StagedAdmission ResourceManager::stage(const graph::Application& app,
       if (report.admitted) {
         span.arg("outcome", "admitted");
       } else {
-        count_rejection(report.failed_phase);
+        metrics.rejected[static_cast<std::size_t>(report.failed_phase)].add(1);
         span.arg("outcome", "rejected:" + to_string(report.failed_phase));
       }
       metrics.total_ms.record(span.elapsed_ms());
@@ -234,6 +235,7 @@ StagedAdmission ResourceManager::stage(const graph::Application& app,
                                routed.routes[idx].bandwidth);
   }
 
+  staged.app = app;
   txn.commit();
   report.admitted = true;
   return staged;

@@ -127,7 +127,8 @@ struct StagedAdmission {
   /// report.handle stays -1 until commit.
   AdmissionReport report;
   /// The specification, retained so the committed application can later be
-  /// re-admitted after faults or during defragmentation.
+  /// re-admitted after faults or during defragmentation. Copied only when
+  /// the phases admitted it; empty otherwise.
   graph::Application app;
   std::vector<std::pair<platform::ElementId, platform::ResourceVector>>
       task_allocations;

@@ -2,9 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
 
 namespace kairos::core {
+
+namespace {
+
+/// The phase's working lists, reused across calls on one thread.
+struct RoutingScratch {
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> routed;
+};
+
+thread_local RoutingScratch routing_scratch;
+
+}  // namespace
 
 RoutingResult RoutingPhase::route(
     const graph::Application& app,
@@ -14,19 +27,22 @@ RoutingResult RoutingPhase::route(
   result.routes.resize(app.channel_count());
   assert(element_of.size() == app.task_count());
 
-  // Most demanding channels first.
-  std::vector<std::size_t> order(app.channel_count());
+  // Most demanding channels first, ties in channel order (a stable sort,
+  // without the buffer std::stable_sort allocates).
+  std::vector<std::size_t>& order = routing_scratch.order;
+  order.resize(app.channel_count());
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return app.channels()[a].bandwidth > app.channels()[b].bandwidth;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const std::int64_t bw_a = app.channels()[a].bandwidth;
+    const std::int64_t bw_b = app.channels()[b].bandwidth;
+    return bw_a != bw_b ? bw_a > bw_b : a < b;
   });
 
   // Rollback is an undo list, not a platform transaction: routing touches
   // only link state, release_route is allocate_route's exact inverse, and a
   // transaction snapshot is O(V + E) per admission attempt.
-  std::vector<std::size_t> routed;
-  routed.reserve(order.size());
+  std::vector<std::size_t>& routed = routing_scratch.routed;
+  routed.clear();
 
   int total_hops = 0;
   for (const std::size_t idx : order) {

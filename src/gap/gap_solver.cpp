@@ -4,11 +4,15 @@
 
 namespace kairos::gap {
 
-GapSolver::GapSolver(int task_count, const KnapsackSolver& knapsack)
-    : knapsack_(&knapsack),
-      c1_(static_cast<std::size_t>(task_count), kUnassignedCost),
-      assigned_(static_cast<std::size_t>(task_count), -1) {
+GapSolver::GapSolver(int task_count, const KnapsackSolver& knapsack) {
+  reset(task_count, knapsack);
+}
+
+void GapSolver::reset(int task_count, const KnapsackSolver& knapsack) {
   assert(task_count >= 0);
+  knapsack_ = &knapsack;
+  c1_.assign(static_cast<std::size_t>(task_count), kUnassignedCost);
+  assigned_.assign(static_cast<std::size_t>(task_count), -1);
 }
 
 void GapSolver::process_element(const GapElement& element) {
@@ -27,9 +31,8 @@ void GapSolver::process_element(const GapElement& element) {
   }
   if (items.empty()) return;
 
-  const KnapsackSelection selection =
-      knapsack_->solve(element.capacity, items);
-  for (const int item_id : selection.chosen) {
+  knapsack_->solve_into(element.capacity, items, selection_);
+  for (const int item_id : selection_.chosen) {
     const GapTaskOption& option =
         element.options[static_cast<std::size_t>(item_id)];
     assigned_[index(option.task)] = element.element;

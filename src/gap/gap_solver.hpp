@@ -51,6 +51,13 @@ class GapSolver {
   /// solver.
   GapSolver(int task_count, const KnapsackSolver& knapsack);
 
+  /// A solver with no tasks; reset() gives it a problem.
+  GapSolver() = default;
+
+  /// Starts over on a fresh problem, as a newly constructed solver would,
+  /// keeping the buffers' capacity.
+  void reset(int task_count, const KnapsackSolver& knapsack);
+
   /// Runs one Cohen–Katzir–Raz round for a newly discovered element. Tasks
   /// selected by the element's knapsack move to it; previously assigned
   /// elements keep their (now partially unused) reservations, exactly as in
@@ -75,10 +82,12 @@ class GapSolver {
  private:
   std::size_t index(int task) const { return static_cast<std::size_t>(task); }
 
-  const KnapsackSolver* knapsack_;
+  const KnapsackSolver* knapsack_ = nullptr;
   std::vector<double> c1_;
   std::vector<int> assigned_;
-  std::vector<KnapsackItem> items_;  ///< process_element's reused buffer
+  /// process_element's reused buffers.
+  std::vector<KnapsackItem> items_;
+  KnapsackSelection selection_;
 };
 
 }  // namespace kairos::gap

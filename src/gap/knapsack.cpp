@@ -45,7 +45,7 @@ void density_order(const ResourceVector& capacity,
 }
 
 /// The greedy solver's buffers, reused across solves on one thread, so a
-/// solve allocates only its result.
+/// warm solve allocates nothing.
 struct GreedyScratch {
   std::vector<double> key;
   std::vector<std::size_t> order;
@@ -56,9 +56,9 @@ thread_local GreedyScratch greedy_scratch;
 
 }  // namespace
 
-KnapsackSelection GreedyKnapsackSolver::solve(
-    const ResourceVector& capacity,
-    const std::vector<KnapsackItem>& items) const {
+void GreedyKnapsackSolver::solve_into(const ResourceVector& capacity,
+                                      const std::vector<KnapsackItem>& items,
+                                      KnapsackSelection& out) const {
   GreedyScratch& scratch = greedy_scratch;
   density_order(capacity, items, scratch.key, scratch.order);
   const std::vector<std::size_t>& order = scratch.order;
@@ -90,14 +90,14 @@ KnapsackSelection GreedyKnapsackSolver::solve(
     }
   }
 
-  KnapsackSelection selection;
+  out.chosen.clear();
+  out.profit = 0.0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (taken[i]) {
-      selection.chosen.push_back(items[i].id);
-      selection.profit += items[i].profit;
+      out.chosen.push_back(items[i].id);
+      out.profit += items[i].profit;
     }
   }
-  return selection;
 }
 
 namespace {
@@ -155,9 +155,9 @@ class BranchAndBound {
 
 }  // namespace
 
-KnapsackSelection BranchAndBoundKnapsackSolver::solve(
-    const ResourceVector& capacity,
-    const std::vector<KnapsackItem>& items) const {
+void BranchAndBoundKnapsackSolver::solve_into(
+    const ResourceVector& capacity, const std::vector<KnapsackItem>& items,
+    KnapsackSelection& out) const {
   std::vector<double> key;
   std::vector<std::size_t> order;
   density_order(capacity, items, key, order);
@@ -167,14 +167,14 @@ KnapsackSelection BranchAndBoundKnapsackSolver::solve(
   BranchAndBound solver(capacity, items, order);
   solver.run();
 
-  KnapsackSelection selection;
+  out.chosen.clear();
+  out.profit = 0.0;
   for (std::size_t k = 0; k < order.size(); ++k) {
     if (solver.best_set()[k]) {
-      selection.chosen.push_back(items[order[k]].id);
-      selection.profit += items[order[k]].profit;
+      out.chosen.push_back(items[order[k]].id);
+      out.profit += items[order[k]].profit;
     }
   }
-  return selection;
 }
 
 }  // namespace kairos::gap

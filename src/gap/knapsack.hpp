@@ -37,11 +37,20 @@ class KnapsackSolver {
   virtual ~KnapsackSolver() = default;
 
   /// Selects a subset of `items` whose summed weight fits within `capacity`,
-  /// (approximately) maximising summed profit. Items with non-positive
-  /// profit are never selected.
-  virtual KnapsackSelection solve(
-      const platform::ResourceVector& capacity,
-      const std::vector<KnapsackItem>& items) const = 0;
+  /// (approximately) maximising summed profit, into `out` (overwritten; its
+  /// capacity is reused). Items with non-positive profit are never
+  /// selected.
+  virtual void solve_into(const platform::ResourceVector& capacity,
+                          const std::vector<KnapsackItem>& items,
+                          KnapsackSelection& out) const = 0;
+
+  /// solve_into a fresh selection.
+  KnapsackSelection solve(const platform::ResourceVector& capacity,
+                          const std::vector<KnapsackItem>& items) const {
+    KnapsackSelection selection;
+    solve_into(capacity, items, selection);
+    return selection;
+  }
 
   virtual std::string name() const = 0;
 };
@@ -51,9 +60,9 @@ class KnapsackSolver {
 /// complexity O(T²)".
 class GreedyKnapsackSolver : public KnapsackSolver {
  public:
-  KnapsackSelection solve(
-      const platform::ResourceVector& capacity,
-      const std::vector<KnapsackItem>& items) const override;
+  void solve_into(const platform::ResourceVector& capacity,
+                  const std::vector<KnapsackItem>& items,
+                  KnapsackSelection& out) const override;
   std::string name() const override { return "greedy-swap"; }
 };
 
@@ -65,9 +74,9 @@ class BranchAndBoundKnapsackSolver : public KnapsackSolver {
   explicit BranchAndBoundKnapsackSolver(std::size_t max_items = 30)
       : max_items_(max_items) {}
 
-  KnapsackSelection solve(
-      const platform::ResourceVector& capacity,
-      const std::vector<KnapsackItem>& items) const override;
+  void solve_into(const platform::ResourceVector& capacity,
+                  const std::vector<KnapsackItem>& items,
+                  KnapsackSelection& out) const override;
   std::string name() const override { return "branch-and-bound"; }
 
  private:

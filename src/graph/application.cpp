@@ -48,9 +48,18 @@ std::vector<TaskId> Application::min_degree_tasks() const {
 
 std::vector<int> Application::bfs_levels(
     const std::vector<TaskId>& seeds) const {
-  std::vector<int> level(tasks_.size(), -1);
-  // FIFO walked by index: every task enters at most once.
+  std::vector<int> level;
   std::vector<TaskId> queue;
+  bfs_levels(seeds, level, queue);
+  return level;
+}
+
+void Application::bfs_levels(const std::vector<TaskId>& seeds,
+                             std::vector<int>& level,
+                             std::vector<TaskId>& queue) const {
+  level.assign(tasks_.size(), -1);
+  // FIFO walked by index: every task enters at most once.
+  queue.clear();
   queue.reserve(tasks_.size());
   for (const TaskId s : seeds) {
     if (level[index(s)] == -1) {
@@ -72,7 +81,6 @@ std::vector<int> Application::bfs_levels(
     for (const ChannelId c : out_channels(t)) visit(channel(c).dst, next_level);
     for (const ChannelId c : in_channels(t)) visit(channel(c).src, next_level);
   }
-  return level;
 }
 
 bool Application::is_connected() const {

@@ -154,6 +154,11 @@ class Application {
   /// neighborhoods T_i = N_i(T_0) that decompose the mapping problem.
   std::vector<int> bfs_levels(const std::vector<TaskId>& seeds) const;
 
+  /// bfs_levels into `level`, with `queue` as the search's FIFO; both are
+  /// overwritten and their capacity reused.
+  void bfs_levels(const std::vector<TaskId>& seeds, std::vector<int>& level,
+                  std::vector<TaskId>& queue) const;
+
   /// True iff the undirected task graph is connected (empty and singleton
   /// graphs count as connected).
   bool is_connected() const;

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "platform/search_trees.hpp"
+
 namespace kairos::noc {
 
 using platform::ElementId;
@@ -53,6 +55,24 @@ struct RouterScratch {
 
 thread_local RouterScratch router_scratch;
 
+/// The route src -> dst along a search's `via` links, in one exact-size
+/// allocation.
+Route trace_back(const Platform& platform, const std::vector<LinkId>& via,
+                 ElementId src, ElementId dst) {
+  std::size_t hops = 0;
+  for (ElementId cur = dst; cur != src; ++hops) {
+    cur = platform.link(via[static_cast<std::size_t>(cur.value)]).src();
+  }
+  Route route;
+  route.links.resize(hops);
+  for (ElementId cur = dst; cur != src;) {
+    const LinkId step = via[static_cast<std::size_t>(cur.value)];
+    route.links[--hops] = step;
+    cur = platform.link(step).src();
+  }
+  return route;
+}
+
 }  // namespace
 
 std::string to_string(RoutingStrategy strategy) {
@@ -78,9 +98,45 @@ std::optional<Route> Router::find_route(const Platform& platform,
   return std::nullopt;
 }
 
+// Why reading the route out of the cached tree is exact. The tree is the
+// BFS from src over graph G: every link between non-failed elements (src
+// included whatever its state), adjacency walked in ascending link id. The
+// live search runs the same BFS over G', G minus the links that are failed,
+// touch a failed endpoint or cannot carry the bandwidth; G' is a subgraph
+// of G. A BFS with ordered adjacency reaches every element along its
+// lexicographically smallest (by link id) shortest path. When the tree's
+// path to dst survives in G', it is still a shortest path there (G' has no
+// shorter one, being a subgraph), and it is still the smallest (G' has only
+// fewer candidates), so the live BFS would return exactly it. When dst is
+// missing from the complete tree it is unreachable in G, hence in G'.
+// Otherwise a link on the cached path is blocked and the live BFS decides.
 std::optional<Route> Router::bfs(const Platform& platform, ElementId src,
                                  ElementId dst,
                                  std::int64_t bandwidth) const {
+  platform::SearchTree& tree =
+      platform::SearchTrees::local(platform).tree(
+          src, platform::SearchDirection::kOut);
+  const int found = tree.find(platform, dst);
+  if (found < 0) return std::nullopt;
+  std::size_t hops = 0;
+  for (int pos = found; pos > 0; pos = tree.node(pos).parent) {
+    const LinkId l = tree.node(pos).via;
+    if (!platform.link(l).can_carry(bandwidth) || !platform.link_usable(l)) {
+      return live_bfs(platform, src, dst, bandwidth);
+    }
+    ++hops;
+  }
+  Route route;
+  route.links.resize(hops);
+  for (int pos = found; pos > 0; pos = tree.node(pos).parent) {
+    route.links[--hops] = tree.node(pos).via;
+  }
+  return route;
+}
+
+std::optional<Route> Router::live_bfs(const Platform& platform, ElementId src,
+                                      ElementId dst,
+                                      std::int64_t bandwidth) const {
   const std::size_t n = platform.element_count();
   RouterScratch& s = router_scratch;
   s.begin(n);
@@ -97,16 +153,7 @@ std::optional<Route> Router::bfs(const Platform& platform, ElementId src,
       if (s.seen(idx)) continue;
       s.mark(idx);
       s.via[idx] = l;
-      if (next == dst) {
-        Route route;
-        for (ElementId cur = dst; cur != src;) {
-          const LinkId step = s.via[static_cast<std::size_t>(cur.value)];
-          route.links.push_back(step);
-          cur = platform.link(step).src();
-        }
-        std::reverse(route.links.begin(), route.links.end());
-        return route;
-      }
+      if (next == dst) return trace_back(platform, s.via, src, dst);
       s.queue.push_back(next);
     }
   }
@@ -155,14 +202,7 @@ std::optional<Route> Router::dijkstra(const Platform& platform, ElementId src,
 
   const auto dst_idx = static_cast<std::size_t>(dst.value);
   if (!s.seen(dst_idx) || s.done_stamp[dst_idx] != s.epoch) return std::nullopt;
-  Route route;
-  for (ElementId cur = dst; cur != src;) {
-    const LinkId step = s.via[static_cast<std::size_t>(cur.value)];
-    route.links.push_back(step);
-    cur = platform.link(step).src();
-  }
-  std::reverse(route.links.begin(), route.links.end());
-  return route;
+  return trace_back(platform, s.via, src, dst);
 }
 
 std::optional<Route> Router::allocate_route(Platform& platform, ElementId src,

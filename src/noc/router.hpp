@@ -7,6 +7,14 @@
 // differences in terms of successful routes and energy consumption, compared
 // to Dijkstra's algorithm" (§II); both strategies are implemented here so
 // that claim can be re-examined (bench_ablation_routing).
+//
+// The BFS router answers from the per-origin search tree of its source
+// (platform/search_trees.hpp) whenever it can. The cached-path rule: walk
+// the tree's parent links back from the destination; if every link on that
+// path is usable and can carry the bandwidth, that path is the route, and
+// it is exactly the route a live BFS would return (router.cpp gives the
+// argument). A destination missing from the complete tree has no route. In
+// every other case one live BFS over the current link state decides.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +72,12 @@ class Router {
   std::optional<Route> bfs(const platform::Platform& platform,
                            platform::ElementId src, platform::ElementId dst,
                            std::int64_t bandwidth) const;
+  /// The BFS over the current link state, for when the cached path is
+  /// blocked.
+  std::optional<Route> live_bfs(const platform::Platform& platform,
+                                platform::ElementId src,
+                                platform::ElementId dst,
+                                std::int64_t bandwidth) const;
   std::optional<Route> dijkstra(const platform::Platform& platform,
                                 platform::ElementId src,
                                 platform::ElementId dst,

@@ -1,6 +1,7 @@
 #include "platform/builders.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,9 @@ Platform make_mesh(int width, int height, const BuilderConfig& cfg) {
 }
 
 Platform make_torus(int width, int height, const BuilderConfig& cfg) {
-  assert(width > 2 && height > 2);
+  if (width < 2 || height < 2) {
+    throw std::invalid_argument("make_torus: width and height must be >= 2");
+  }
   Platform p("torus" + std::to_string(width) + "x" + std::to_string(height));
   std::vector<ElementId> ids;
   ids.reserve(static_cast<std::size_t>(width) * height);

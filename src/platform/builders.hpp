@@ -21,7 +21,13 @@ struct BuilderConfig {
 /// width x height grid with duplex links between 4-neighbors.
 Platform make_mesh(int width, int height, const BuilderConfig& cfg = {});
 
-/// Mesh with wrap-around links in both dimensions.
+/// Mesh with wrap-around links in both dimensions. Each element gets a
+/// duplex link to its right and to its lower neighbor, wrapping at the
+/// edges; in a dimension of size 2 the wrap-around neighbor is the plain
+/// neighbor, so that pair is joined by two parallel duplex links (legal in
+/// Platform; routing treats them as alternatives). Throws
+/// std::invalid_argument when width or height is below 2, where the wrap
+/// would be a self-link.
 Platform make_torus(int width, int height, const BuilderConfig& cfg = {});
 
 /// n elements in a duplex cycle.

@@ -1,18 +1,40 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <deque>
 
 namespace kairos::platform {
 
+namespace {
+
+std::atomic<std::uint64_t> next_search_serial{1};
+
+std::uint64_t fresh_search_serial() {
+  return next_search_serial.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+Platform::Adjacency& Platform::edit_adjacency() {
+  // Topology edits never run concurrently with copies of this platform, so
+  // the use count cannot grow while it is read.
+  if (adjacency_.use_count() != 1) {
+    adjacency_ = std::make_shared<Adjacency>(*adjacency_);
+  }
+  return const_cast<Adjacency&>(*adjacency_);
+}
+
 ElementId Platform::add_element(ElementType type, std::string name,
                                 ResourceVector capacity, int package) {
   const ElementId id(static_cast<std::int32_t>(elements_.size()));
   elements_.emplace_back(id, type, std::move(name), capacity, package);
-  out_links_.emplace_back();
-  in_links_.emplace_back();
-  neighbors_.emplace_back();
+  Adjacency& adjacency = edit_adjacency();
+  adjacency.out.emplace_back();
+  adjacency.in.emplace_back();
+  adjacency.neighbors.emplace_back();
+  search_serial_ = fresh_search_serial();
   hop_cache_.store(nullptr);
   type_members_.store(nullptr);
   availability_.invalidate();
@@ -26,12 +48,14 @@ LinkId Platform::add_link(ElementId a, ElementId b, int vc_capacity,
   assert(a != b && "self-links are not meaningful in a NoC");
   const LinkId id(static_cast<std::int32_t>(links_.size()));
   links_.emplace_back(id, a, b, vc_capacity, bw_capacity);
-  out_links_[index(a)].push_back(id);
-  in_links_[index(b)].push_back(id);
-  auto& na = neighbors_[index(a)];
+  Adjacency& adjacency = edit_adjacency();
+  adjacency.out[index(a)].push_back(id);
+  adjacency.in[index(b)].push_back(id);
+  auto& na = adjacency.neighbors[index(a)];
   if (std::find(na.begin(), na.end(), b) == na.end()) na.push_back(b);
-  auto& nb = neighbors_[index(b)];
+  auto& nb = adjacency.neighbors[index(b)];
   if (std::find(nb.begin(), nb.end(), a) == nb.end()) nb.push_back(a);
+  search_serial_ = fresh_search_serial();
   hop_cache_.store(nullptr);
   return id;
 }
@@ -43,7 +67,7 @@ void Platform::add_duplex_link(ElementId a, ElementId b, int vc_capacity,
 }
 
 std::optional<LinkId> Platform::find_link(ElementId a, ElementId b) const {
-  for (const LinkId l : out_links_.at(index(a))) {
+  for (const LinkId l : out_links(a)) {
     if (links_[lindex(l)].dst() == b) return l;
   }
   return std::nullopt;
@@ -57,7 +81,7 @@ std::vector<int> Platform::hop_distances_from(ElementId from) const {
   while (!queue.empty()) {
     const ElementId e = queue.front();
     queue.pop_front();
-    for (const ElementId n : neighbors_[index(e)]) {
+    for (const ElementId n : neighbors(e)) {
       if (dist[index(n)] == -1) {
         dist[index(n)] = dist[index(e)] + 1;
         queue.push_back(n);
@@ -171,6 +195,7 @@ void Platform::audit_availability() {
 
 void Platform::set_element_failed(ElementId e, bool failed) {
   elements_.at(index(e)).failed_ = failed;
+  search_serial_ = fresh_search_serial();
   if (availability_.built()) {
     availability_.on_failed(e, failed);
     audit_availability();

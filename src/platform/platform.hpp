@@ -138,18 +138,26 @@ class Platform {
   const std::vector<Element>& elements() const { return elements_; }
   const std::vector<Link>& links() const { return links_; }
 
-  /// Outgoing / incoming links of an element.
+  /// Outgoing / incoming links of an element, in ascending link id.
   const std::vector<LinkId>& out_links(ElementId e) const {
-    return out_links_.at(index(e));
+    return adjacency_->out.at(index(e));
   }
   const std::vector<LinkId>& in_links(ElementId e) const {
-    return in_links_.at(index(e));
+    return adjacency_->in.at(index(e));
   }
 
   /// Undirected neighbor set (deduplicated union of in- and out-neighbors).
   const std::vector<ElementId>& neighbors(ElementId e) const {
-    return neighbors_.at(index(e));
+    return adjacency_->neighbors.at(index(e));
   }
+
+  /// Names the platform's topology and element fault state: two platforms
+  /// with the same serial have the same elements, links and failed
+  /// elements. Copies keep the serial; add_element, add_link and
+  /// set_element_failed draw a fresh one from a process-wide counter, so a
+  /// serial is never reused. Allocation state and link faults do not enter
+  /// it. The per-origin search trees (search_trees.hpp) are keyed by it.
+  std::uint64_t search_serial() const { return search_serial_; }
 
   /// Undirected degree (number of distinct neighbors) — the "connectivity"
   /// the fragmentation cost term of §III-D uses: border elements have lower
@@ -287,12 +295,23 @@ class Platform {
     return static_cast<std::size_t>(id.value);
   }
 
+  /// The adjacency lists: pure topology, so copies of the platform share
+  /// one instance (a snapshot copies a pointer, not ~3 vectors per
+  /// element). The first topology edit on a shared instance clones it.
+  struct Adjacency {
+    std::vector<std::vector<LinkId>> out;
+    std::vector<std::vector<LinkId>> in;
+    std::vector<std::vector<ElementId>> neighbors;
+  };
+
+  /// The adjacency, cloned first if another platform copy shares it.
+  Adjacency& edit_adjacency();
+
   std::string name_;
   std::vector<Element> elements_;
   std::vector<Link> links_;
-  std::vector<std::vector<LinkId>> out_links_;
-  std::vector<std::vector<LinkId>> in_links_;
-  std::vector<std::vector<ElementId>> neighbors_;
+  std::shared_ptr<const Adjacency> adjacency_ = std::make_shared<Adjacency>();
+  std::uint64_t search_serial_ = 0;
   // Shared lazily-built topology caches (see hop_cache.hpp); copies of the
   // platform share the pointees, topology edits drop the pointers.
   mutable detail::AtomicSharedPtr<HopCache> hop_cache_;

@@ -29,8 +29,11 @@
 //
 // The expensive phase work (the mapping search dominates, Fig. 7) runs with
 // no lock held; only the cheap re-validation in commit_staged() takes the
-// write lock. Throughput therefore scales with cores until commits saturate
-// (bench_service measures exactly this).
+// write lock. That does not make throughput scale with cores: on the paper's
+// CRISP workloads the phases are short next to the snapshot, queue handoff
+// and conflict re-staging, and bench_service has measured 4 workers at
+// 0.74-1.10x of the serial path. What the pipeline buys is overlap of
+// staging with commits, not a speedup (bench_service measures both).
 //
 // A conflicted request is parked on the retry queue, which workers drain
 // (up to max_batch) before fresh submissions, so retries batch together and

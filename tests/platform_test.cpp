@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "platform/builders.hpp"
 #include "platform/crisp.hpp"
@@ -203,6 +204,54 @@ TEST(SnapshotTest, RestoreUndoesEverything) {
   EXPECT_EQ(p.link(p.out_links(ElementId{0}).front()).bw_used(), 0);
 }
 
+TEST(SnapshotTest, CopiesShareTopologyUntilEdited) {
+  // Copies share the adjacency lists; an edit on either side must clone
+  // them first, so neither ever sees the other's edits.
+  Platform original = make_mesh(3, 3);
+  const Platform copy = original;
+  EXPECT_EQ(&copy.out_links(ElementId{4}), &original.out_links(ElementId{4}));
+  EXPECT_EQ(copy.search_serial(), original.search_serial());
+  const auto out_before = copy.out_links(ElementId{0});
+  const auto in_before = copy.in_links(ElementId{8});
+  const auto neighbors_before = copy.neighbors(ElementId{0});
+
+  const ElementId added = original.add_element(
+      ElementType::kGeneric, "x", ResourceVector{1, 1, 1, 1});
+  original.add_duplex_link(ElementId{0}, added, 1, 10);
+  original.add_link(ElementId{0}, ElementId{8}, 1, 10);
+  EXPECT_EQ(original.element_count(), 10u);
+  EXPECT_EQ(original.out_links(ElementId{0}).size(), out_before.size() + 2);
+
+  EXPECT_EQ(copy.element_count(), 9u);
+  EXPECT_EQ(copy.link_count(), 24u);
+  EXPECT_EQ(copy.out_links(ElementId{0}), out_before);
+  EXPECT_EQ(copy.in_links(ElementId{8}), in_before);
+  EXPECT_EQ(copy.neighbors(ElementId{0}), neighbors_before);
+  EXPECT_NE(copy.search_serial(), original.search_serial());
+
+  // And the other way round: editing a copy leaves the original alone.
+  Platform second = original;
+  second.add_link(ElementId{1}, ElementId{7}, 1, 10);
+  EXPECT_EQ(original.out_links(ElementId{1}).size() + 1,
+            second.out_links(ElementId{1}).size());
+}
+
+TEST(SnapshotTest, ElementFaultsChangeTheSearchSerialOfOneCopyOnly) {
+  Platform original = make_mesh(2, 2);
+  const Platform copy = original;
+  original.set_element_failed(ElementId{1}, true);
+  EXPECT_NE(copy.search_serial(), original.search_serial());
+  const std::uint64_t failed = original.search_serial();
+  original.set_element_failed(ElementId{1}, false);
+  EXPECT_NE(original.search_serial(), failed);
+  EXPECT_NE(original.search_serial(), copy.search_serial());
+  // Allocation state and link faults do not shape the search trees.
+  const std::uint64_t repaired = original.search_serial();
+  original.set_link_failed(LinkId{0}, true);
+  ASSERT_TRUE(original.allocate_channel(LinkId{1}, 1));
+  EXPECT_EQ(original.search_serial(), repaired);
+}
+
 TEST(TransactionTest, RollsBackUnlessCommitted) {
   Platform p = make_mesh(2, 2);
   {
@@ -255,6 +304,22 @@ TEST(BuildersTest, TorusIsRegular) {
     EXPECT_EQ(p.degree(e.id()), 4) << e.name();
   }
   EXPECT_EQ(p.diameter(), 4);
+}
+
+TEST(BuildersTest, TwoWideTorusDoublesItsLinks) {
+  // In a dimension of size 2 the wrap-around neighbor is the plain
+  // neighbor: that pair gets two parallel duplex links, in every build.
+  const Platform p = make_torus(2, 3);
+  EXPECT_EQ(p.element_count(), 6u);
+  EXPECT_EQ(p.link_count(), 6u * 4);
+  int parallel = 0;
+  for (const LinkId l : p.out_links(ElementId{0})) {
+    if (p.link(l).dst() == ElementId{1}) ++parallel;
+  }
+  EXPECT_EQ(parallel, 2);
+  EXPECT_EQ(p.degree(ElementId{0}), 3);
+  EXPECT_THROW(make_torus(1, 3), std::invalid_argument);
+  EXPECT_THROW(make_torus(3, 0), std::invalid_argument);
 }
 
 TEST(BuildersTest, RingAndChainAndStar) {
