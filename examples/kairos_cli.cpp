@@ -5,7 +5,7 @@
 // formats: it loads a platform description and one or more application
 // specifications, admits them in order, and prints the execution layouts.
 //
-//   usage: kairos_cli [--wc <w>] [--wf <w>] [--mcr] [--mapper <name>]
+//   usage: kairos_cli [--wc <w>] [--wf <w>] [--mapper <name>]
 //                     [--seed <n>] [--sa-full] [--cancel-bound <c>]
 //                     [--objectives <o,o,...>] [--front-csv <file>]
 //                     [--platform <file>] <app-file>...
@@ -493,8 +493,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--wf requires a value\n");
         return 64;
       }
-    } else if (arg == "--mcr") {
-      config.validation.use_mcr = true;
     } else if (arg == "--mapper") {
       if (!next_string(mapper_name)) {
         std::fprintf(stderr, "--mapper requires a strategy name (%s)\n",
@@ -685,7 +683,7 @@ int main(int argc, char** argv) {
       std::printf("%s\n", obs::build_info_line().c_str());
       return 0;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: kairos_cli [--wc w] [--wf w] [--mcr] "
+      std::printf("usage: kairos_cli [--wc w] [--wf w] "
                   "[--mapper <%s>] [--seed n] [--sa-full] [--cancel-bound c] "
                   "[--objectives o,o,...] [--front-csv file] "
                   "[--platform file] <app-file>...\n"

@@ -2,9 +2,10 @@
 // phase. Shows (1) how a latency requirement becomes a throughput
 // constraint (Moreira & Bekooij [12], used in §II of the paper), (2) how
 // buffer sizing trades memory for throughput at design time (Stuijk et al.
-// [5]), and (3) how the run-time validation phase then accepts or rejects a
-// concrete layout — with both the state-space analyzer and the fast
-// max-cycle-ratio analyzer of the §V future-work direction.
+// [5]) — with the paper's state-space analyzer and the exact
+// maximum-cycle-ratio analyzer side by side — and (3) how the run-time
+// validation phase, which uses the exact MCR (§V's cheaper analysis), then
+// accepts or rejects a concrete layout.
 //
 //   $ ./examples/throughput_design
 #include <cstdio>
@@ -14,7 +15,7 @@
 #include "sdf/buffer_sizing.hpp"
 #include "sdf/constraints.hpp"
 #include "sdf/mcr.hpp"
-#include "util/timer.hpp"
+#include "sdf/throughput.hpp"
 
 namespace {
 
@@ -85,10 +86,17 @@ int main() {
   }
   std::printf("minimal buffer factor: %d (throughput %.4f)\n",
               sizing.buffer_factor, sizing.throughput);
+  const sdf::ThroughputAnalyzer analyzer(sdf::ThroughputConfig{});
   for (int f = 1; f <= 4; ++f) {
     const auto g = make_sdr_chain(f);
+    const auto states = analyzer.analyze(g, sdf::ActorId{3});
     const auto mcr = sdf::max_cycle_ratio(g);
-    std::printf("  factor %d: MCR throughput %.4f %s\n", f, mcr.throughput,
+    std::printf("  factor %d: state-space %.4f (%lld states), exact MCR "
+                "%.4f%s %s\n",
+                f, states.throughput,
+                static_cast<long long>(states.states_explored),
+                mcr.throughput,
+                mcr.throughput == states.throughput ? " (equal)" : " (DIFFER)",
                 mcr.throughput >= required ? "(meets requirement)" : "");
   }
 
@@ -97,20 +105,15 @@ int main() {
   platform::Platform crisp = platform::make_crisp_platform();
   const graph::Application app = make_sdr_application(required);
 
-  for (const bool use_mcr : {false, true}) {
-    crisp.clear_allocations();
+  {
     core::KairosConfig config;
     config.weights = {4.0, 100.0};
     config.validation.buffer_factor = sizing.buffer_factor;
-    config.validation.use_mcr = use_mcr;
     core::ResourceManager kairos(crisp, config);
-    util::Stopwatch watch;
     const auto report = kairos.admit(app);
-    std::printf("admission with %-11s validation: %s (throughput %.4f, "
-                "validate %.3f ms)\n",
-                use_mcr ? "MCR" : "state-space",
-                report.admitted ? "ADMITTED" : "rejected",
-                report.throughput, report.times.validation_ms);
+    std::printf("admission: %s (throughput %.4f, validate %.3f ms)\n",
+                report.admitted ? "ADMITTED" : "rejected", report.throughput,
+                report.times.validation_ms);
     if (!report.admitted) {
       std::printf("  reason: %s\n", report.reason.c_str());
     }

@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "sdf/mcr.hpp"
+
 namespace kairos::core {
 
 namespace {
@@ -23,14 +25,15 @@ void put_bits(std::string& key, double value) {
 }
 
 /// Writes into `key` everything the verdict depends on, as one flat string
-/// of 64-bit words taken from build_sdf's *inputs*: the analysis
+/// of 64-bit words taken from the model's *inputs*: the model
 /// configuration, the observed actor, the constraint, each task's bound
 /// execution time, and each channel's endpoints, token rate and route
-/// length. build_sdf is a pure function of exactly these (plus names, which
-/// the analysis ignores), so equal keys mean equal SDF models and — by
-/// construction — the identical ValidationResult; model_memo below may then
-/// skip building the model as well as analysing it. The key is the full
-/// word string, not a hash of it, so distinct inputs never collide.
+/// length. The model (build_sdf's, or its homogeneous form below) is a pure
+/// function of exactly these (plus names, which the analysis ignores), so
+/// equal keys mean equal models and — by construction — the identical
+/// ValidationResult; model_memo below may then skip building the model as
+/// well as analysing it. The key is the full word string, not a hash of it,
+/// so distinct inputs never collide.
 void model_signature(const ValidationConfig& config,
                      const graph::Application& app,
                      const std::vector<int>& impl_of,
@@ -40,9 +43,7 @@ void model_signature(const ValidationConfig& config,
   assert(routes.size() == app.channel_count());
   key.clear();
   key.reserve(sizeof(std::int64_t) *
-              (8 + app.task_count() + 4 * app.channel_count()));
-  put_word(key, config.use_mcr ? 1 : 0);
-  put_word(key, config.throughput.max_states);
+              (6 + app.task_count() + 4 * app.channel_count()));
   put_bits(key, config.hop_latency);
   put_word(key, config.buffer_factor);
   put_word(key, observed.value);
@@ -68,10 +69,8 @@ void model_signature(const ValidationConfig& config,
 /// the concurrent admission service), bounded by wholesale reset. The hit
 /// rate is structural: a recurring application admitted with the same
 /// binding and the same per-channel hop counts has the same key no matter
-/// *where* on the platform it landed, and neither the SDF model (one named
-/// actor per task and per routed channel) nor its analysis — easily the
-/// most expensive platform-size-independent part of admission — need be
-/// built again for it.
+/// *where* on the platform it landed, and neither the model nor its
+/// analysis need be built again for it.
 std::unordered_map<std::string, ValidationResult>& model_memo() {
   thread_local std::unordered_map<std::string, ValidationResult> memo;
   constexpr std::size_t kMaxEntries = 512;
@@ -79,10 +78,72 @@ std::unordered_map<std::string, ValidationResult>& model_memo() {
   return memo;
 }
 
+/// The execution time of task `idx` in the model: its bound
+/// implementation's, at least 1 (zero-time actors would make zero-length
+/// cycles).
+std::int64_t task_exec_time(const graph::Application& app,
+                            const std::vector<int>& impl_of, std::size_t idx) {
+  const auto& task = app.tasks()[idx];
+  return std::max<std::int64_t>(
+      1, task.implementations()
+             .at(static_cast<std::size_t>(impl_of[idx]))
+             .exec_time);
+}
+
+/// The execution time of a routed channel's transport actor.
+std::int64_t transport_latency(const ValidationConfig& config, int hops) {
+  return static_cast<std::int64_t>(
+      std::max(1.0, std::ceil(config.hop_latency * hops)));
+}
+
+/// Writes build_sdf's model in homogeneous form: the same actors in the
+/// same order (tasks, then one transport actor per routed channel in
+/// channel order), every channel's tokens divided by its rate, each edge
+/// weighted by its producer's execution time. Returns the actor count.
+std::size_t homogeneous_model(const ValidationConfig& config,
+                              const graph::Application& app,
+                              const std::vector<int>& impl_of,
+                              const std::vector<ChannelRoute>& routes,
+                              std::vector<sdf::HsdfEdge>& edges) {
+  edges.clear();
+  auto actors = static_cast<std::int32_t>(app.task_count());
+  // A self-loop with one token per actor: no auto-concurrency.
+  for (std::int32_t t = 0; t < actors; ++t) {
+    edges.push_back(
+        {t, t, task_exec_time(app, impl_of, static_cast<std::size_t>(t)), 1});
+  }
+  // A bounded buffer: the forward edge starts empty, the reverse edge full.
+  auto buffer = [&](std::int32_t src, std::int64_t src_exec,
+                    std::int32_t dst, std::int64_t dst_exec) {
+    edges.push_back({src, dst, src_exec, 0});
+    edges.push_back({dst, src, dst_exec, config.buffer_factor});
+  };
+  for (const auto& channel : app.channels()) {
+    const std::int32_t src = channel.src.value;
+    const std::int32_t dst = channel.dst.value;
+    const std::int64_t src_exec =
+        task_exec_time(app, impl_of, static_cast<std::size_t>(src));
+    const std::int64_t dst_exec =
+        task_exec_time(app, impl_of, static_cast<std::size_t>(dst));
+    const int hops = routes[static_cast<std::size_t>(channel.id.value)]
+                         .route.hops();
+    if (hops == 0) {
+      buffer(src, src_exec, dst, dst_exec);
+      continue;
+    }
+    const std::int32_t transport = actors++;
+    const std::int64_t latency = transport_latency(config, hops);
+    edges.push_back({transport, transport, latency, 1});
+    buffer(src, src_exec, transport, latency);
+    buffer(transport, latency, dst, dst_exec);
+  }
+  return static_cast<std::size_t>(actors);
+}
+
 }  // namespace
 
 sdf::ActorId ValidationPhase::observed_actor(const graph::Application& app) {
-  // Actor i is task i: build_sdf adds the task actors first, in task order.
+  // Actor i is task i: both models add the task actors first, in task order.
   for (const auto& task : app.tasks()) {
     if (app.out_channels(task.id()).empty()) {
       return sdf::ActorId{task.id().value};
@@ -107,10 +168,8 @@ sdf::SdfGraph ValidationPhase::build_sdf(
   std::vector<sdf::ActorId> actor_of(app.task_count());
   for (const auto& task : app.tasks()) {
     const auto idx = static_cast<std::size_t>(task.id().value);
-    const auto& impl = task.implementations().at(
-        static_cast<std::size_t>(impl_of[idx]));
-    const std::int64_t exec_time = std::max<std::int64_t>(1, impl.exec_time);
-    actor_of[idx] = g.add_actor(task.name(), exec_time);
+    actor_of[idx] =
+        g.add_actor(task.name(), task_exec_time(app, impl_of, idx));
     g.disable_auto_concurrency(actor_of[idx]);
   }
 
@@ -132,12 +191,10 @@ sdf::SdfGraph ValidationPhase::build_sdf(
     }
     // Routed channel: insert a transport actor whose execution time models
     // the per-hop latency of the established route.
-    const auto latency = static_cast<std::int64_t>(
-        std::max(1.0, std::ceil(config_.hop_latency * hops)));
     const sdf::ActorId transport = g.add_actor(
         "route:" + app.task(channel.src).name() + "->" +
             app.task(channel.dst).name(),
-        latency);
+        transport_latency(config_, hops));
     g.disable_auto_concurrency(transport);
     g.add_buffered_channel(src, transport, rate, capacity);
     g.add_buffered_channel(transport, dst, rate, capacity);
@@ -150,6 +207,8 @@ ValidationResult ValidationPhase::validate(
     const graph::Application& app, const std::vector<int>& impl_of,
     const std::vector<platform::ElementId>& element_of,
     const std::vector<ChannelRoute>& routes) const {
+  assert(element_of.size() == app.task_count());
+  (void)element_of;  // the model depends on hop counts, not on places
   ValidationResult result;
   result.required_throughput = app.throughput_constraint();
 
@@ -159,7 +218,8 @@ ValidationResult ValidationPhase::validate(
   }
 
   const sdf::ActorId observed = observed_actor(app);
-  // Reused across calls: a memo hit allocates nothing.
+  // Reused across calls: a memo hit allocates nothing, nor does a miss
+  // once the buffers have grown.
   thread_local std::string signature;
   model_signature(config_, app, impl_of, routes, observed, signature);
   auto& memo = model_memo();
@@ -167,54 +227,43 @@ ValidationResult ValidationPhase::validate(
     return it->second;
   }
 
-  const sdf::SdfGraph g = build_sdf(app, impl_of, element_of, routes);
-  const ValidationResult computed = [&] {
-    if (config_.use_mcr) {
-      const sdf::McrResult mcr = sdf::max_cycle_ratio(g);
-      if (mcr.applicable) {
-        result.states_explored = 0;
-        if (mcr.deadlock) {
-          result.status = sdf::ThroughputStatus::kDeadlock;
-          result.reason = "SDF model deadlocks (token-free cycle)";
-          result.ok = app.throughput_constraint() <= 0.0;
-          return result;
-        }
-        result.status = sdf::ThroughputStatus::kPeriodic;
-        result.throughput = mcr.throughput;
-        result.ok = app.throughput_constraint() <= 0.0 ||
-                    mcr.throughput >= app.throughput_constraint();
-        if (!result.ok) {
-          result.reason = "throughput " + std::to_string(mcr.throughput) +
-                          " below required " +
-                          std::to_string(app.throughput_constraint());
-        }
-        return result;
-      }
-      // Not applicable: fall through to the state-space analyzer.
+  thread_local std::vector<sdf::HsdfEdge> edges;
+  thread_local sdf::HowardMcr mcr;
+  const std::size_t actors =
+      homogeneous_model(config_, app, impl_of, routes, edges);
+  mcr.solve(actors, edges);
+
+  const auto v = static_cast<std::size_t>(observed.value);
+  result.status = sdf::ThroughputStatus::kPeriodic;
+  if (!mcr.deadlocked(v)) {
+    // The observed actor's self-loop is a cycle, so the ratio is defined.
+    const sdf::CycleRatio r = mcr.ratio(v);
+    result.throughput =
+        static_cast<double>(r.tokens) / static_cast<double>(r.weight);
+  } else {
+    // Each component of the model is strongly connected (every channel is
+    // a buffer pair), so the execution stops altogether only when every
+    // component deadlocks; while another still runs, the observed actor's
+    // rate is a periodic zero.
+    bool all_deadlocked = true;
+    for (std::size_t a = 0; a < actors && all_deadlocked; ++a) {
+      all_deadlocked = mcr.deadlocked(a);
     }
-
-    const sdf::ThroughputAnalyzer analyzer(config_.throughput);
-    const sdf::ThroughputResult analysis = analyzer.analyze(g, observed);
-    result.throughput = analysis.throughput;
-    result.states_explored = analysis.states_explored;
-    result.status = analysis.status;
-
-    if (analysis.status == sdf::ThroughputStatus::kDeadlock) {
+    if (all_deadlocked) {
+      result.status = sdf::ThroughputStatus::kDeadlock;
       result.reason = "SDF model deadlocks";
-      result.ok = app.throughput_constraint() <= 0.0;
-      return result;
     }
-    result.ok =
-        sdf::satisfies_throughput(analysis, app.throughput_constraint());
-    if (!result.ok) {
-      result.reason = "throughput " + std::to_string(analysis.throughput) +
-                      " below required " +
-                      std::to_string(app.throughput_constraint());
-    }
-    return result;
-  }();
-  memo.emplace(signature, computed);
-  return computed;
+  }
+  const double required = app.throughput_constraint();
+  result.ok = required <= 0.0 ||
+              (result.status == sdf::ThroughputStatus::kPeriodic &&
+               result.throughput >= required);
+  if (!result.ok && result.status == sdf::ThroughputStatus::kPeriodic) {
+    result.reason = "throughput " + std::to_string(result.throughput) +
+                    " below required " + std::to_string(required);
+  }
+  memo.emplace(signature, result);
+  return result;
 }
 
 }  // namespace kairos::core

@@ -6,9 +6,24 @@
 // come from the bound implementations, NoC transport is modelled by one
 // latency actor per routed channel (execution time proportional to the hop
 // count), buffers are bounded via reverse channels, and auto-concurrency is
-// disabled (a task occupies one element). Throughput is computed by
-// state-space exploration (sdf::ThroughputAnalyzer) and compared against the
-// application's constraint.
+// disabled (a task occupies one element). The paper computes the model's
+// throughput by state-space exploration (sdf::ThroughputAnalyzer, Ghamarian
+// et al. [13]), whose cost "clearly becomes problematic when the complexity
+// of the task graph increases" (§V).
+//
+// This phase computes the same number in closed form instead. Every channel
+// of the model has equal production and consumption rates and a multiple of
+// its rate as initial tokens (the precondition of sdf/mcr.hpp), so the model
+// is a homogeneous SDF graph after dividing tokens by rates, and the
+// observed actor's self-timed throughput is T/W of the critical cycle —
+// the maximum-ratio cycle (W total execution time, T total tokens) of its
+// component — or zero when a token-free cycle deadlocks that component.
+// validate() writes that homogeneous graph straight from its inputs as a
+// flat edge list (no named SdfGraph) and solves it exactly with
+// sdf::HowardMcr. The state-space period gives the same rational
+// (firings/period), so the double, the status and the verdict are
+// bit-identical to the analyzer's on build_sdf's graph, which
+// validation_exactness_property_test checks. states_explored reads 0.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +32,6 @@
 
 #include "core/layout.hpp"
 #include "graph/application.hpp"
-#include "sdf/constraints.hpp"
-#include "sdf/mcr.hpp"
 #include "sdf/sdf_graph.hpp"
 #include "sdf/throughput.hpp"
 
@@ -29,15 +42,6 @@ struct ValidationConfig {
   double hop_latency = 1.0;
   /// Buffer capacity per channel, as a multiple of the token rate.
   int buffer_factor = 2;
-  /// State budget of the throughput analysis (the run-time safety valve the
-  /// paper's future-work section wants to remove).
-  sdf::ThroughputConfig throughput{100'000};
-  /// Use maximum-cycle-ratio analysis instead of state-space exploration
-  /// when the built SDF graph admits it (it always does for this builder).
-  /// This is the §V future-work direction: a much cheaper validation whose
-  /// cost no longer explodes with the state space. Falls back to the
-  /// state-space analyzer if MCR is not applicable.
-  bool use_mcr = false;
 };
 
 struct ValidationResult {
@@ -45,7 +49,7 @@ struct ValidationResult {
   std::string reason;
   double throughput = 0.0;          ///< sink firings per time unit
   double required_throughput = 0.0;
-  std::int64_t states_explored = 0;
+  std::int64_t states_explored = 0;  ///< always 0: no state space is built
   sdf::ThroughputStatus status = sdf::ThroughputStatus::kDeadlock;
 };
 
@@ -53,8 +57,9 @@ class ValidationPhase {
  public:
   explicit ValidationPhase(ValidationConfig config = {}) : config_(config) {}
 
-  /// Builds the SDF model of the mapped application and checks the
-  /// throughput constraint. Read-only: touches neither app nor platform.
+  /// Computes the throughput of the mapped application's SDF model exactly
+  /// (see above) and checks the throughput constraint. Read-only: touches
+  /// neither app nor platform.
   ValidationResult validate(const graph::Application& app,
                             const std::vector<int>& impl_of,
                             const std::vector<platform::ElementId>& element_of,
@@ -65,7 +70,9 @@ class ValidationPhase {
   /// application, or the first task when every task has a successor.
   static sdf::ActorId observed_actor(const graph::Application& app);
 
-  /// Exposed for tests/benches: the SDF graph the validator analyses.
+  /// Exposed for tests/benches: the named SDF graph whose throughput
+  /// validate() computes (the state-space analyzer's input; validate()
+  /// solves its homogeneous form without building it).
   sdf::SdfGraph build_sdf(const graph::Application& app,
                           const std::vector<int>& impl_of,
                           const std::vector<platform::ElementId>& element_of,

@@ -6,7 +6,8 @@
 // exploration of the self-timed execution. This module provides the graph
 // representation, consistency analysis (repetition vector via the balance
 // equations), and structural queries; throughput.hpp implements the
-// state-space exploration.
+// state-space exploration and mcr.hpp the exact maximum-cycle-ratio
+// analysis the validation phase uses.
 #pragma once
 
 #include <cstdint>

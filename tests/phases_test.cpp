@@ -219,19 +219,25 @@ TEST(ValidationPhaseTest, LongerRoutesReduceThroughput) {
   EXPECT_GT(near_result.throughput, far_result.throughput);
 }
 
-TEST(ValidationPhaseTest, StateBudgetIsReported) {
+TEST(ValidationPhaseTest, ExactThroughputWithoutStateSpace) {
+  // The model a 3-state budget used to cut short: validation now explores
+  // no states and reports the analyzer's exact throughput.
   Platform p = platform::make_chain(3);
   Application app = two_task_app(10);
   const std::vector<ElementId> placement{ElementId{0}, ElementId{1}};
   const RoutingPhase routing;
   const auto routed = routing.route(app, placement, p);
-  ValidationConfig config;
-  config.throughput.max_states = 3;
-  const ValidationPhase validation(config);
+  const ValidationPhase validation;
   const auto result =
       validation.validate(app, {0, 0}, placement, routed.routes);
-  EXPECT_EQ(result.states_explored, 3);
-  EXPECT_EQ(result.status, sdf::ThroughputStatus::kBudgetExceeded);
+  const auto exact = sdf::ThroughputAnalyzer().analyze(
+      validation.build_sdf(app, {0, 0}, placement, routed.routes),
+      ValidationPhase::observed_actor(app));
+  ASSERT_EQ(exact.status, sdf::ThroughputStatus::kPeriodic);
+  EXPECT_EQ(result.status, sdf::ThroughputStatus::kPeriodic);
+  EXPECT_EQ(result.throughput, exact.throughput);
+  EXPECT_EQ(result.states_explored, 0);
+  EXPECT_TRUE(result.ok) << result.reason;
 }
 
 }  // namespace

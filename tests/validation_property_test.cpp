@@ -7,8 +7,8 @@
 //    whose thread-local memo starts empty;
 //  * after a warm-up, changing any one input the verdict depends on (one
 //    channel's hops, one task's bound exec_time, buffer_factor,
-//    hop_latency, max_states, use_mcr, the throughput constraint) yields
-//    the fresh verdict for the changed input, never the stale one.
+//    hop_latency, the throughput constraint) yields the fresh verdict for
+//    the changed input, never the stale one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -138,12 +138,6 @@ TEST(ValidationMemoPropertyTest, ChangedInputNeverGetsStaleVerdict) {
          in.config.hop_latency = 1.0 + static_cast<double>(
                                            rng.uniform_int(1, 8));
        }},
-      {"max_states",
-       [](Inputs& in, util::Xoshiro256& rng) {
-         in.config.throughput.max_states = rng.uniform_int(5, 20);
-       }},
-      {"use_mcr",
-       [](Inputs& in, util::Xoshiro256&) { in.config.use_mcr = true; }},
       {"constraint",
        [](Inputs& in, util::Xoshiro256& rng) {
          in.app.set_throughput_constraint(
@@ -152,20 +146,29 @@ TEST(ValidationMemoPropertyTest, ChangedInputNeverGetsStaleVerdict) {
        }},
   };
 
+  constexpr int kDraws = 4;
   for (const auto& mutation : mutations) {
     int changed_verdicts = 0;
     int cases = 0;
     for (const auto kind : gen::kAllDatasets) {
       util::Xoshiro256 rng(0xA11CE000u + static_cast<std::uint64_t>(kind));
       for (const auto& app : gen::make_dataset(kind, 6, 0xBEEF)) {
-        const Inputs base = random_inputs(app, rng);
-        const ValidationResult before = validate_here(base);  // warm the memo
-        Inputs changed = base;
-        mutation.apply(changed, rng);
-        const ValidationResult fresh = validate_fresh(changed);
-        expect_same(validate_here(changed), fresh,
-                    app.name() + ": " + mutation.name);
-        if (!same(fresh, before)) ++changed_verdicts;
+        // The verdict carries no state count, so one small change often
+        // leaves it as it was (a channel off the critical cycle, a buffer
+        // that does not limit the rate): draw inputs and a change of the
+        // same kind, each pair checked, until one moves the verdict.
+        bool moved = false;
+        for (int draw = 0; draw < kDraws && !moved; ++draw) {
+          const Inputs base = random_inputs(app, rng);
+          const ValidationResult before = validate_here(base);  // warm it
+          Inputs changed = base;
+          mutation.apply(changed, rng);
+          const ValidationResult fresh = validate_fresh(changed);
+          expect_same(validate_here(changed), fresh,
+                      app.name() + ": " + mutation.name);
+          moved = !same(fresh, before);
+        }
+        if (moved) ++changed_verdicts;
         ++cases;
       }
     }
