@@ -22,12 +22,14 @@
 //                                          lost vs the bare parallel run —
 //                                          the budget is 5%.
 //
-// The speedup is a *capacity* number: staging (the mapping search) runs
-// outside every lock, so it scales with cores until commits saturate. On a
-// single-core runner the configurations time-slice one CPU and the speedup
-// honestly reports ~1x — which is why the JSON records
-// hardware_concurrency and the exit code does not judge the ratio. CI runs
-// `bench_service --smoke` for schema honesty and archives the artifact.
+// The service now admits each request on the thread that submits it and
+// starts no worker (admission_service.hpp), so ServiceConfig::threads is
+// ignored: the serial and parallel scenarios drive one and the same path,
+// the speedup reads ~1x, and the conflict, fallback and batch fields read
+// 0 because the counters behind them are gone. The bench stays only until
+// the perfbench harness takes over its CI checks (ROADMAP C), which
+// retires it. CI runs `bench_service --smoke` for schema honesty and
+// archives the artifact.
 //
 //   usage: bench_service [--smoke] [--threads <n>] [--out <file>]
 //          (default BENCH_service.json; --threads replaces the 8-thread

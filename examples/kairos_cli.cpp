@@ -18,8 +18,7 @@
 //          kairos_cli --sweep [--fault-rate <r>] [--fault-rates <r,r,...>]
 //                     [--defrag-periods <t,t,...>] [--fault-model <spec>]
 //                     [--repair <t>] [--seed <n>] [--mo] [--p95]
-//          kairos_cli --serve [--threads <n>] [--batch <n>] [--listen <addr>]
-//                     [--slo p99=<ms>,conflicts=<r>,queue=<d>]
+//          kairos_cli --serve [--listen <addr>] [--slo p99=<ms>,queue=<d>]
 //                     [--mapper <name>] [--platform <file>] [<app-file>...]
 //          kairos_cli --watch <addr> [--watch-iterations <n>]
 //          kairos_cli --health <addr>
@@ -49,8 +48,9 @@
 // and writes kairos_sweep.csv; --mo appends per-cell Pareto front size and
 // hypervolume columns, --p95 per-cell time-weighted 95th-percentile
 // live/fragmentation/utilisation columns. The fourth form is the admission
-// daemon: a service::AdmissionService worker pool serving a newline-
-// delimited command protocol (service::CommandSession) over stdin/stdout
+// daemon: a service::AdmissionService, which admits each request on the
+// thread that submits it, serving a newline-delimited command protocol
+// (service::CommandSession) over stdin/stdout
 // and — with --listen <port|host:port|unix:path> — over a socket that also
 // answers the telemetry endpoints (/metrics, /healthz, /stats.json, /trace,
 // /logs, /series, /summary; obs::TelemetryServer). --slo sets the /healthz
@@ -182,7 +182,7 @@ int report_scenario(const kairos::sim::ScenarioStats& stats,
   return 0;
 }
 
-/// Parses "--slo p99=<ms>,conflicts=<per_sec>,queue=<depth>" (any subset;
+/// Parses "--slo p99=<ms>,queue=<depth>" (either or both;
 /// omitted checks stay disabled). False on an unknown key or non-numeric
 /// value.
 bool parse_slo(const std::string& text, kairos::obs::SloConfig& out) {
@@ -198,8 +198,6 @@ bool parse_slo(const std::string& text, kairos::obs::SloConfig& out) {
     if (value.empty() || end == value.c_str() || *end != '\0') return false;
     if (key == "p99") {
       out.max_p99_latency_ms = number;
-    } else if (key == "conflicts") {
-      out.max_conflict_rate = number;
     } else if (key == "queue") {
       out.max_queue_depth = number;
     } else {
@@ -209,23 +207,20 @@ bool parse_slo(const std::string& text, kairos::obs::SloConfig& out) {
   return true;
 }
 
-/// --serve: a long-running admission daemon, backed by the concurrent
+/// --serve: a long-running admission daemon, backed by the
 /// service::AdmissionService. The newline-delimited command protocol
 /// (service::CommandSession — admit/gen/remove/stats/metrics/quit, replies
 /// echo the minted request id) is served over stdin/stdout and, with
 /// --listen, over the same socket that answers the telemetry endpoints
 /// (/metrics, /healthz, /stats.json, /trace, /logs, /series, /summary).
 int run_serve(kairos::platform::Platform& platform,
-              kairos::core::KairosConfig config, int threads, int batch,
+              kairos::core::KairosConfig config,
               const std::vector<std::string>& preload,
               const std::string& listen_spec,
               const kairos::obs::SloConfig& slo) {
   using namespace kairos;
   core::ResourceManager manager(platform, std::move(config));
-  service::ServiceConfig service_config;
-  service_config.threads = threads;
-  service_config.max_batch = batch;
-  service::AdmissionService service(manager, service_config);
+  service::AdmissionService service(manager);
   service::CommandSession stdin_session(manager, service);
 
   // The telemetry plane: sampler feeding /healthz + /series, server
@@ -242,10 +237,13 @@ int run_serve(kairos::platform::Platform& platform,
       [&] { return service::service_stats_json(manager, service); });
   // Socket line protocol: one CommandSession per connection, parked on
   // Conn::user. Pending admission batches follow the server's slow-work
-  // contract — mark busy, drain settled replies from the tick.
+  // contract — admitted on the session's batch thread, never on the poll
+  // thread; the connection is marked busy and the tick collects the replies.
   const auto session_of = [&](net::Conn& conn) {
     if (!conn.user) {
-      conn.user = std::make_shared<service::CommandSession>(manager, service);
+      conn.user = std::make_shared<service::CommandSession>(
+          manager, service,
+          service::CommandSession::Admission::kOnBatchThread);
     }
     return static_cast<service::CommandSession*>(conn.user.get());
   };
@@ -443,8 +441,6 @@ int main(int argc, char** argv) {
   bool percentile_columns = false;
   std::string trace_json_path;
   bool serve = false;
-  double serve_threads = 4.0;
-  double serve_batch = 4.0;
   std::string listen_spec;
   std::string watch_spec;
   double watch_iterations = 0.0;  // 0 = until the daemon goes away
@@ -574,22 +570,12 @@ int main(int argc, char** argv) {
       if (!next_string(slo_spec)) {
         std::fprintf(stderr,
                      "--slo requires thresholds, e.g. "
-                     "p99=5,conflicts=100,queue=64\n");
+                     "p99=5,queue=64\n");
         return 64;
       }
     } else if (arg == "--log-file") {
       if (!next_string(log_file_path)) {
         std::fprintf(stderr, "--log-file requires a file\n");
-        return 64;
-      }
-    } else if (arg == "--threads") {
-      if (!next_value(serve_threads)) {
-        std::fprintf(stderr, "--threads requires a count\n");
-        return 64;
-      }
-    } else if (arg == "--batch") {
-      if (!next_value(serve_batch)) {
-        std::fprintf(stderr, "--batch requires a count\n");
         return 64;
       }
     } else if (arg == "--rate") {
@@ -699,9 +685,8 @@ int main(int argc, char** argv) {
                   "[--fault-rates r,r,...] [--defrag-periods t,t,...] "
                   "[--fault-model spec] [--repair t] [--seed n] [--mo] "
                   "[--p95]\n"
-                  "       kairos_cli --serve [--threads n] [--batch n] "
-                  "[--listen addr] "
-                  "[--slo p99=ms,conflicts=r,queue=d] "
+                  "       kairos_cli --serve [--listen addr] "
+                  "[--slo p99=ms,queue=d] "
                   "[--mapper name] [--platform file] [<app-file>...]\n"
                   "       kairos_cli --watch addr [--watch-iterations n] | "
                   "--health addr\n"
@@ -709,6 +694,9 @@ int main(int argc, char** argv) {
                   "[--log-file file]\n",
                   mapper_list().c_str());
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown option '%s' (see --help)\n", arg.c_str());
+      return 64;
     } else {
       app_paths.push_back(arg);
     }
@@ -732,8 +720,6 @@ int main(int argc, char** argv) {
         {"--fault-rate", fault_rate, false},
         {"--repair", mean_repair, false},
         {"--defrag", defrag_period, false},
-        {"--threads", serve_threads, true},
-        {"--batch", serve_batch, true},
     };
     for (const Knob& knob : knobs) {
       const bool ok = knob.strictly_positive ? knob.value > 0.0
@@ -838,7 +824,7 @@ int main(int argc, char** argv) {
   if (!slo_spec.empty() && !parse_slo(slo_spec, slo)) {
     std::fprintf(stderr,
                  "--slo: cannot parse '%s' (expected "
-                 "p99=<ms>,conflicts=<per_sec>,queue=<depth>, any subset)\n",
+                 "p99=<ms>,queue=<depth>, either or both)\n",
                  slo_spec.c_str());
     return 64;
   }
@@ -999,10 +985,7 @@ int main(int argc, char** argv) {
               platform.link_count());
 
   if (serve) {
-    return run_serve(platform, std::move(config),
-                     static_cast<int>(serve_threads),
-                     static_cast<int>(serve_batch), app_paths, listen_spec,
-                     slo);
+    return run_serve(platform, std::move(config), app_paths, listen_spec, slo);
   }
 
   if (!workload_name.empty() || !trace_path.empty()) {

@@ -48,7 +48,7 @@ class Daemon:
     """One `kairos_cli --serve` process with a line-queued stdout reader."""
 
     def __init__(self, cli, listen, slo=None):
-        command = [cli, "--serve", "--threads", "2", "--listen", listen]
+        command = [cli, "--serve", "--listen", listen]
         if slo:
             command += ["--slo", slo]
         self.process = subprocess.Popen(
@@ -173,7 +173,7 @@ def drive_batch(send, read_line, command, expected):
 
 def phase_tcp(cli):
     print("[phase 1] TCP listener, generous SLOs")
-    daemon = Daemon(cli, "127.0.0.1:0", slo="p99=100000,conflicts=1e9")
+    daemon = Daemon(cli, "127.0.0.1:0", slo="p99=100000")
     try:
         match = daemon.expect(r"listening on 127\.0\.0\.1:(\d+)")
         address = ("127.0.0.1", int(match.group(1)))

@@ -80,4 +80,30 @@ int ExecutionLayout::distinct_elements() const {
   return static_cast<int>(ids.size());
 }
 
+std::vector<TaskAllocation> ExecutionLayout::task_allocations(
+    const graph::Application& app) const {
+  std::vector<TaskAllocation> out;
+  out.reserve(placements_.size());
+  for (std::size_t t = 0; t < placements_.size(); ++t) {
+    const TaskPlacement& p = placements_[t];
+    out.emplace_back(p.element,
+                     app.tasks()[t]
+                         .implementations()
+                         .at(static_cast<std::size_t>(p.impl_index))
+                         .requirement);
+  }
+  return out;
+}
+
+std::vector<LinkClaim> ExecutionLayout::link_claims() const {
+  std::vector<LinkClaim> out;
+  out.reserve(static_cast<std::size_t>(total_hops()));
+  for (const ChannelRoute& channel : routes_) {
+    for (const platform::LinkId l : channel.route.links) {
+      out.emplace_back(l, channel.bandwidth);
+    }
+  }
+  return out;
+}
+
 }  // namespace kairos::core

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/application.hpp"
@@ -114,12 +115,27 @@ struct ChannelRoute {
   std::int64_t bandwidth = 0;
 };
 
+/// One element reservation: a task's implementation requirement on the
+/// element the mapping chose.
+using TaskAllocation = std::pair<platform::ElementId, platform::ResourceVector>;
+
+/// One link hop of an established route: the link holds one virtual channel
+/// plus the channel's bandwidth for it. Bookkeeping that only has to
+/// release or replay reservations keeps these flat, one per hop, instead of
+/// a second copy of every route.
+using LinkClaim = std::pair<platform::LinkId, std::int64_t>;
+
 /// The complete execution layout of an admitted application.
 class ExecutionLayout {
  public:
   ExecutionLayout() = default;
   ExecutionLayout(std::size_t task_count, std::size_t channel_count)
       : placements_(task_count), routes_(channel_count) {}
+  /// Takes both tables whole: per task (by TaskId) and per channel (by
+  /// ChannelId). Only moves, so it never throws.
+  ExecutionLayout(std::vector<TaskPlacement> placements,
+                  std::vector<ChannelRoute> routes) noexcept
+      : placements_(std::move(placements)), routes_(std::move(routes)) {}
 
   void place(graph::TaskId t, platform::ElementId e, int impl_index) {
     placements_.at(static_cast<std::size_t>(t.value)) =
@@ -149,6 +165,14 @@ class ExecutionLayout {
 
   /// Number of distinct elements used by this layout.
   int distinct_elements() const;
+
+  /// The element reservations this layout makes for `app` (the application
+  /// it was built for), one per task in task order.
+  std::vector<TaskAllocation> task_allocations(
+      const graph::Application& app) const;
+
+  /// The link claims of every route, one per hop, in channel order.
+  std::vector<LinkClaim> link_claims() const;
 
  private:
   std::vector<TaskPlacement> placements_;

@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "platform/fragmentation.hpp"
+#include "util/scope_exit.hpp"
 
 namespace kairos::core {
 
@@ -89,11 +90,18 @@ AdmissionReport ResourceManager::admit(const graph::Application& app) {
 }
 
 AdmissionReport ResourceManager::admit_locked(const graph::Application& app) {
+  // The booking's node is made before the phases run, so that nothing can
+  // throw once stage() has kept its reservations; a rejection or a throw
+  // drops it again.
+  const AppHandle handle = next_handle_;
+  LiveApp& slot = live_[handle];
+  util::ScopeExit drop([&] { live_.erase(handle); });
   // Phasing directly against the live platform (under the write lock) keeps
   // the exact mutation sequence the single-threaded regression pins expect.
   StagedAdmission staged = stage(app, *platform_);
-  if (!staged.report.admitted) return staged.report;
-  return register_live_locked(std::move(staged));
+  if (!staged.report.admitted) return std::move(staged.report);
+  drop.dismiss();
+  return register_live_locked(std::move(staged), slot);
 }
 
 StagedAdmission ResourceManager::stage(const graph::Application& app,
@@ -105,19 +113,27 @@ StagedAdmission ResourceManager::stage(const graph::Application& app,
   metrics.attempts.add(1);
   obs::Span admission("admission");
   admission.arg("app", app.name());
-  // On every exit path: tally the outcome and the total wall-clock.
+  // On every exit path: tally the outcome and the total wall-clock. This
+  // runs in a destructor, also while a throw unwinds stage(), and the span
+  // argument and the histogram sample allocate: if that fails, this
+  // attempt is missing from the trace and the histogram (it stays counted
+  // in admission.attempts) instead of terminating the process.
   struct Outcome {
     const AdmissionReport& report;
     const AdmissionMetrics& metrics;
     obs::Span& span;
     ~Outcome() {
-      if (report.admitted) {
-        span.arg("outcome", "admitted");
-      } else {
-        metrics.rejected[static_cast<std::size_t>(report.failed_phase)].add(1);
-        span.arg("outcome", "rejected:" + to_string(report.failed_phase));
+      try {
+        if (report.admitted) {
+          span.arg("outcome", "admitted");
+        } else {
+          metrics.rejected[static_cast<std::size_t>(report.failed_phase)].add(
+              1);
+          span.arg("outcome", "rejected:" + to_string(report.failed_phase));
+        }
+        metrics.total_ms.record(span.elapsed_ms());
+      } catch (...) {
       }
-      metrics.total_ms.record(span.elapsed_ms());
     }
   } outcome{report, metrics, admission};
 
@@ -135,12 +151,13 @@ StagedAdmission ResourceManager::stage(const graph::Application& app,
     return staged;
   }
 
-  // The whole admission is atomic: on any phase failure the target platform
-  // is rolled back to this snapshot. Elements-only scope: link state is not
-  // copied because the only phase that touches it (routing) maintains its
-  // own exact undo list, and the one failure that can land after routing
-  // succeeded (validation) releases the established routes explicitly
-  // below. At 10k elements this halves the snapshot bill of the hot path.
+  // The whole admission is atomic: on any phase failure, and on a throw, the
+  // target platform is rolled back to this snapshot. Elements-only scope:
+  // link state is not copied because the only phase that touches it
+  // (routing) undoes its own reservations when it fails, and the guard
+  // armed after it releases the established routes on every later exit
+  // that does not admit. At 10k elements this halves the snapshot bill of
+  // the hot path.
   platform::Transaction txn(target, platform::SnapshotScope::kElementsOnly);
 
   // --- binding -------------------------------------------------------------
@@ -190,6 +207,16 @@ StagedAdmission ResourceManager::stage(const graph::Application& app,
     return staged;
   }
   report.average_hops = routed.average_hops;
+  // The txn restores element state only: from here on, a validation
+  // rejection or a throw releases the routes' link reservations
+  // (release_route is allocate_route's inverse), wherever the routes are
+  // held by then.
+  const std::vector<ChannelRoute>* routes = &routed.routes;
+  util::ScopeExit release_routes([&] {
+    for (const ChannelRoute& channel : *routes) {
+      noc::Router::release_route(target, channel.route, channel.bandwidth);
+    }
+  });
 
   // --- validation ----------------------------------------------------------------
   if (config_.validation_enabled) {
@@ -206,50 +233,37 @@ StagedAdmission ResourceManager::stage(const graph::Application& app,
     if (!validated.ok && config_.validation_rejects) {
       report.failed_phase = Phase::kValidation;
       report.reason = validated.reason;
-      // The txn only restores element state; undo the routing phase's link
-      // reservations by hand (release_route is allocate_route's inverse).
-      for (const auto& channel : routed.routes) {
-        noc::Router::release_route(target, channel.route, channel.bandwidth);
-      }
       return staged;
     }
   }
 
   // --- stage bookkeeping -----------------------------------------------------
-  report.layout = ExecutionLayout(app.task_count(), app.channel_count());
-  for (const auto& task : app.tasks()) {
-    const auto idx = static_cast<std::size_t>(task.id().value);
-    const platform::ElementId e = mapped.element_of[idx];
-    report.layout.place(task.id(), e, bound.impl_of[idx]);
-    staged.task_allocations.emplace_back(
-        e, task.implementations()
-               .at(static_cast<std::size_t>(bound.impl_of[idx]))
-               .requirement);
+  // The routes move, uncopied, into the report's layout; the bookkeeping
+  // keeps their flat link claims.
+  std::vector<TaskPlacement> placements(app.task_count());
+  for (std::size_t t = 0; t < placements.size(); ++t) {
+    placements[t] = TaskPlacement{mapped.element_of[t], bound.impl_of[t]};
   }
-  for (const auto& channel : app.channels()) {
-    const auto idx = static_cast<std::size_t>(channel.id.value);
-    // The layout keeps a copy; the commit bookkeeping takes the original.
-    report.layout.set_route(channel.id, routed.routes[idx].route,
-                            routed.routes[idx].bandwidth);
-    staged.routes.emplace_back(std::move(routed.routes[idx].route),
-                               routed.routes[idx].bandwidth);
-  }
-
+  report.layout =
+      ExecutionLayout(std::move(placements), std::move(routed.routes));
+  routes = &report.layout.routes();
+  staged.task_allocations = report.layout.task_allocations(app);
+  staged.link_claims = report.layout.link_claims();
   staged.app = app;
+
+  release_routes.dismiss();
   txn.commit();
   report.admitted = true;
   return staged;
 }
 
-AdmissionReport ResourceManager::register_live_locked(
-    StagedAdmission&& staged) {
+AdmissionReport ResourceManager::register_live_locked(StagedAdmission&& staged,
+                                                      LiveApp& slot) {
   AdmissionReport report = std::move(staged.report);
-  LiveApp live;
-  live.app = std::move(staged.app);
-  live.task_allocations = std::move(staged.task_allocations);
-  live.routes = std::move(staged.routes);
+  slot.app = std::move(staged.app);
+  slot.task_allocations = std::move(staged.task_allocations);
+  slot.link_claims = std::move(staged.link_claims);
   report.handle = next_handle_++;
-  live_[report.handle] = std::move(live);
   AdmissionMetrics::get().admitted.add(1);
   return report;
 }
@@ -298,36 +312,37 @@ util::Result<AdmissionReport> ResourceManager::commit_staged(
   }
   std::vector<std::pair<platform::LinkId, std::pair<int, std::int64_t>>>
       link_demand;  // link -> (virtual channels, bandwidth)
-  for (const auto& [route, bandwidth] : staged.routes) {
-    for (const platform::LinkId l : route.links) {
-      if (!platform_->link_usable(l)) {
-        return util::Error("commit conflict: link " + std::to_string(l.value) +
-                           " cannot carry the staged route");
-      }
-      auto it = std::find_if(link_demand.begin(), link_demand.end(),
-                             [&](const auto& entry) {
-                               return entry.first == l;
-                             });
-      if (it == link_demand.end()) {
-        it = link_demand.emplace(link_demand.end(), l,
-                                 std::pair<int, std::int64_t>{0, 0});
-      }
-      it->second.first += 1;
-      it->second.second += bandwidth;
-      const platform::Link& link = platform_->link(l);
-      if (it->second.first > link.vc_free() ||
-          it->second.second > link.bw_free()) {
-        return util::Error("commit conflict: link " + std::to_string(l.value) +
-                           " cannot carry the staged route");
-      }
+  for (const auto& [l, bandwidth] : staged.link_claims) {
+    if (!platform_->link_usable(l)) {
+      return util::Error("commit conflict: link " + std::to_string(l.value) +
+                         " cannot carry the staged route");
+    }
+    auto it = std::find_if(link_demand.begin(), link_demand.end(),
+                           [&](const auto& entry) { return entry.first == l; });
+    if (it == link_demand.end()) {
+      it = link_demand.emplace(link_demand.end(), l,
+                               std::pair<int, std::int64_t>{0, 0});
+    }
+    it->second.first += 1;
+    it->second.second += bandwidth;
+    const platform::Link& link = platform_->link(l);
+    if (it->second.first > link.vc_free() ||
+        it->second.second > link.bw_free()) {
+      return util::Error("commit conflict: link " + std::to_string(l.value) +
+                         " cannot carry the staged route");
     }
   }
 
   // Phase 2 — apply. Validation was exhaustive, so these cannot fail; the
   // undo list is the all-or-nothing backstop should that invariant ever
-  // break (a failed apply must not leave the commit half-applied).
-  std::vector<std::pair<platform::ElementId, platform::ResourceVector>> undo;
+  // break (a failed apply must not leave the commit half-applied). The undo
+  // lists and the booking's node are made first, so nothing throws once
+  // the first reservation is applied.
+  std::vector<TaskAllocation> undo;
   undo.reserve(staged.task_allocations.size());
+  std::vector<LinkClaim> link_undo;
+  link_undo.reserve(staged.link_claims.size());
+  LiveApp& slot = live_[next_handle_];
   bool applied = true;
   for (const auto& [element, demand] : staged.task_allocations) {
     if (!platform_->allocate(element, demand)) {
@@ -337,17 +352,13 @@ util::Result<AdmissionReport> ResourceManager::commit_staged(
     platform_->add_task(element);
     undo.emplace_back(element, demand);
   }
-  std::vector<std::pair<platform::LinkId, std::int64_t>> link_undo;
   if (applied) {
-    for (const auto& [route, bandwidth] : staged.routes) {
-      for (const platform::LinkId l : route.links) {
-        if (!platform_->allocate_channel(l, bandwidth)) {
-          applied = false;
-          break;
-        }
-        link_undo.emplace_back(l, bandwidth);
+    for (const auto& [l, bandwidth] : staged.link_claims) {
+      if (!platform_->allocate_channel(l, bandwidth)) {
+        applied = false;
+        break;
       }
-      if (!applied) break;
+      link_undo.emplace_back(l, bandwidth);
     }
   }
   if (!applied) {
@@ -359,9 +370,10 @@ util::Result<AdmissionReport> ResourceManager::commit_staged(
       platform_->release(undo[i].first, undo[i].second);
       platform_->remove_task(undo[i].first);
     }
+    live_.erase(next_handle_);
     return util::Error("commit conflict: staged reservations failed to apply");
   }
-  return register_live_locked(std::move(staged));
+  return register_live_locked(std::move(staged), slot);
 }
 
 util::VoidResult ResourceManager::remove(AppHandle handle) {
@@ -379,8 +391,8 @@ util::VoidResult ResourceManager::remove_locked(AppHandle handle) {
     platform_->release(element, demand);
     platform_->remove_task(element);
   }
-  for (const auto& [route, bandwidth] : it->second.routes) {
-    noc::Router::release_route(*platform_, route, bandwidth);
+  for (const auto& [l, bandwidth] : it->second.link_claims) {
+    platform_->release_channel(l, bandwidth);
   }
   live_.erase(it);
   assert(platform_->invariants_hold());
@@ -417,20 +429,16 @@ std::vector<AppHandle> ResourceManager::apps_using_link_locked(
     platform::LinkId l) const {
   std::vector<AppHandle> out;
   for (const auto& [handle, live] : live_) {
-    for (const auto& [route, bandwidth] : live.routes) {
-      (void)bandwidth;
-      if (std::find(route.links.begin(), route.links.end(), l) !=
-          route.links.end()) {
-        out.push_back(handle);
-        break;
-      }
+    if (std::any_of(live.link_claims.begin(), live.link_claims.end(),
+                    [l](const LinkClaim& claim) { return claim.first == l; })) {
+      out.push_back(handle);
     }
   }
   return out;
 }
 
-std::vector<std::pair<platform::ElementId, platform::ResourceVector>>
-ResourceManager::allocations_of(AppHandle handle) const {
+std::vector<TaskAllocation> ResourceManager::allocations_of(
+    AppHandle handle) const {
   const std::shared_lock<std::shared_mutex> lock(state_mutex_);
   const auto it = live_.find(handle);
   if (it == live_.end()) return {};

@@ -14,16 +14,17 @@
 // std::chrono.
 //
 // Concurrency: every public method is safe to call from multiple threads.
-// The expensive half of an admission — the four phases, dominated by the
-// mapping search — is taken outside every lock through the stage/commit
-// split: stage() runs the phases against a private snapshot of the platform
-// (snapshot_platform()), and commit_staged() re-validates the staged
-// reservations against the live platform, applying them only if they still
-// fit (optimistic concurrency; a conflict is reported for the caller to
-// re-stage). service::AdmissionService drives this pipeline with a worker
-// pool; single-threaded callers keep using admit(), whose behaviour —
-// including the exact sequence of platform mutations the regression pins
-// depend on — is unchanged.
+// admit() phases against the live platform under the write lock, one
+// application at a time; it is the only admission path the library uses
+// (service::AdmissionService serialises its requests onto it). An admission
+// that throws leaves the platform exactly as it found it: the element
+// transaction and the route guard in stage() undo everything on every exit
+// that does not admit.
+//
+// The optimistic split — stage() against a snapshot_platform() copy, then
+// commit_staged() re-validating against the live platform — is kept only
+// for the perfbench trace replay, which times it; the benchmark harness
+// change that retires the replay (ROADMAP C) deletes it too.
 //
 // Locking: one state_mutex_ (shared_mutex) guards the allocation state and
 // the live-application bookkeeping. It is EXCLUSIVE for every mutation —
@@ -118,10 +119,10 @@ struct AdmissionReport {
   MappingStats mapping_stats;
 };
 
-/// A fully-phased admission candidate produced by ResourceManager::stage()
-/// against a platform snapshot: the would-be report plus the exact element
-/// reservations and routes the phases chose. Not yet visible in the live
-/// platform — commit_staged() applies it (or reports a conflict).
+/// A fully-phased admission candidate produced by ResourceManager::stage():
+/// the would-be report plus the exact element reservations and link claims
+/// the phases chose. commit_staged() applies a staging made against a
+/// snapshot to the live platform (or reports a conflict).
 struct StagedAdmission {
   /// report.admitted says whether the phases succeeded on the snapshot;
   /// report.handle stays -1 until commit.
@@ -130,9 +131,8 @@ struct StagedAdmission {
   /// re-admitted after faults or during defragmentation. Copied only when
   /// the phases admitted it; empty otherwise.
   graph::Application app;
-  std::vector<std::pair<platform::ElementId, platform::ResourceVector>>
-      task_allocations;
-  std::vector<std::pair<noc::Route, std::int64_t>> routes;
+  std::vector<TaskAllocation> task_allocations;
+  std::vector<LinkClaim> link_claims;
 };
 
 struct KairosConfig {
@@ -163,14 +163,15 @@ class ResourceManager {
                            KairosConfig config = {});
 
   /// One resource-allocation attempt for `app` (Fig. 1 run-time half).
-  /// Holds the write lock for the whole attempt — the strictly serialized
-  /// path every single-threaded caller (and the regression pins) uses.
+  /// Holds the write lock for the whole attempt. A throw (a faulty mapper,
+  /// an allocation failure) propagates with the platform and the
+  /// bookkeeping exactly as they were before the call.
   AdmissionReport admit(const graph::Application& app);
 
   /// Releases every resource held by an admitted application.
   util::VoidResult remove(AppHandle handle);
 
-  // --- optimistic admission (the concurrent service path) -----------------
+  // --- optimistic admission (kept for the perfbench replay only) ----------
   //
   // stage() runs the four phases against a *private* platform copy with no
   // lock held, so many candidates can be phased concurrently;
@@ -186,11 +187,12 @@ class ResourceManager {
   platform::Platform snapshot_platform() const;
 
   /// Runs specification checks and the four phases against `scratch`
-  /// (mutating it; on failure it is restored). `scratch` must be private to
-  /// the caller — typically a snapshot_platform() copy. Thread-safe as long
-  /// as the configured mapper is (all built-in strategies are: map() is
-  /// const and keeps no state across calls). Attempt metrics and phase
-  /// spans are recorded exactly as admit() records them.
+  /// (mutating it; on a rejection or a throw it is restored). `scratch`
+  /// must be private to the caller — typically a snapshot_platform() copy.
+  /// Thread-safe as long as the configured mapper is (all built-in
+  /// strategies are: map() is const and keeps no state across calls).
+  /// Attempt metrics and phase spans are recorded exactly as admit()
+  /// records them.
   StagedAdmission stage(const graph::Application& app,
                         platform::Platform& scratch) const;
 
@@ -223,8 +225,7 @@ class ResourceManager {
   /// entry per task (empty for unknown handles). Diagnostic surface: the
   /// system property tests audit that every platform reservation is owned by
   /// exactly one live application through this.
-  std::vector<std::pair<platform::ElementId, platform::ResourceVector>>
-  allocations_of(AppHandle handle) const;
+  std::vector<TaskAllocation> allocations_of(AppHandle handle) const;
 
   /// Outcome of a run-time fault-circumvention pass (§I).
   struct FaultReport {
@@ -302,9 +303,8 @@ class ResourceManager {
     /// The specification is retained so the application can be re-admitted
     /// after faults or during defragmentation.
     graph::Application app;
-    std::vector<std::pair<platform::ElementId, platform::ResourceVector>>
-        task_allocations;
-    std::vector<std::pair<noc::Route, std::int64_t>> routes;
+    std::vector<TaskAllocation> task_allocations;
+    std::vector<LinkClaim> link_claims;
   };
 
   // Unlocked implementations, called with state_mutex_ already held
@@ -314,10 +314,12 @@ class ResourceManager {
   util::VoidResult remove_locked(AppHandle handle);
   std::vector<AppHandle> apps_using_locked(platform::ElementId e) const;
   std::vector<AppHandle> apps_using_link_locked(platform::LinkId l) const;
-  /// Books a staged admission as live: assigns the handle, stores the
-  /// LiveApp, counts the admission. The staged reservations must already be
-  /// present in the live platform; the write lock must be held.
-  AdmissionReport register_live_locked(StagedAdmission&& staged);
+  /// Books a staged admission as live into `slot`, the node made for it at
+  /// key next_handle_ before its reservations were applied (so that booking
+  /// cannot throw once they are): moves the bookkeeping in, assigns the
+  /// handle, counts the admission. The write lock must be held.
+  AdmissionReport register_live_locked(StagedAdmission&& staged,
+                                       LiveApp& slot);
 
   /// Shared tail of the fault-circumvention flows: evicts `victims` (which
   /// must all be live), lets `mark_failed` flip the platform's fault state,

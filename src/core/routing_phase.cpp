@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <numeric>
 
+#include "util/scope_exit.hpp"
+
 namespace kairos::core {
 
 namespace {
@@ -40,9 +42,20 @@ RoutingResult RoutingPhase::route(
 
   // Rollback is an undo list, not a platform transaction: routing touches
   // only link state, release_route is allocate_route's exact inverse, and a
-  // transaction snapshot is O(V + E) per admission attempt.
+  // transaction snapshot is O(V + E) per admission attempt. A failed route
+  // replays the list before returning; the guard replays it on a throw.
+  // The list's capacity is reserved up front, so recording a route that is
+  // already allocated never throws.
   std::vector<std::size_t>& routed = routing_scratch.routed;
   routed.clear();
+  routed.reserve(order.size());
+  const auto release_routed = [&] {
+    for (std::size_t k = routed.size(); k-- > 0;) {
+      const ChannelRoute& done = result.routes[routed[k]];
+      noc::Router::release_route(platform, done.route, done.bandwidth);
+    }
+  };
+  util::ScopeExit undo(release_routed);
 
   int total_hops = 0;
   for (const std::size_t idx : order) {
@@ -55,15 +68,13 @@ RoutingResult RoutingPhase::route(
 
     auto route = router_.allocate_route(platform, src, dst, channel.bandwidth);
     if (!route.has_value()) {
-      for (std::size_t k = routed.size(); k-- > 0;) {
-        const ChannelRoute& done = result.routes[routed[k]];
-        noc::Router::release_route(platform, done.route, done.bandwidth);
-      }
       result.failed_channel = channel.id;
       result.reason = "no route with free capacity from '" +
                       platform.element(src).name() + "' to '" +
                       platform.element(dst).name() + "' for channel " +
                       std::to_string(channel.id.value);
+      release_routed();
+      undo.dismiss();
       return result;
     }
     total_hops += route->hops();
@@ -71,6 +82,7 @@ RoutingResult RoutingPhase::route(
     routed.push_back(idx);
   }
 
+  undo.dismiss();
   result.ok = true;
   result.average_hops =
       app.channel_count() == 0

@@ -33,7 +33,7 @@ class RoutingPhase {
 
   /// Establishes a route for every channel of `app` between the elements in
   /// `element_of`. Link reservations stay allocated on success; the platform
-  /// is restored on failure.
+  /// is restored on failure and when anything inside the call throws.
   RoutingResult route(const graph::Application& app,
                       const std::vector<platform::ElementId>& element_of,
                       platform::Platform& platform) const;

@@ -1,7 +1,7 @@
 // Structured event logging: the third leg of the observability plane next
 // to metrics (aggregates) and spans (timings). One LogEvent is a discrete
-// thing that *happened* — request submitted, commit conflicted on retry 2,
-// SLO breached — with a level, a component, free-form key/value fields and
+// thing that *happened* — request submitted, request rejected, SLO
+// breached — with a level, a component, free-form key/value fields and
 // the admission-service request id of the surrounding RequestScope, so one
 // request's journey is greppable across metrics, trace JSON and log.
 //
@@ -10,7 +10,7 @@
 //     telemetry server's /logs endpoint — the "what just happened" view of
 //     a live daemon;
 //   * zero or more JSONL sinks (one JSON object per line, machine-first),
-//     each with its own token-bucket rate limit so a conflict storm cannot
+//     each with its own token-bucket rate limit so a rejection storm cannot
 //     turn the log file into the bottleneck: beyond `max_per_sec` events in
 //     a second the sink drops (counted, and reported as a
 //     "obs.log.dropped" style field in recent()/stats — never silently).

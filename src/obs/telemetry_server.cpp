@@ -45,7 +45,6 @@ HealthReport evaluate_health(const TimeSeriesPoint& window, bool have_data,
     report.checks.push_back(std::move(c));
   };
   check("p99_latency_ms", window.p99_latency_ms, slo.max_p99_latency_ms);
-  check("conflict_rate", window.conflicts_per_sec, slo.max_conflict_rate);
   check("queue_depth", window.queue_depth, slo.max_queue_depth);
 
   int breaches = 0;
@@ -194,8 +193,6 @@ std::string TelemetryServer::render_summary() const {
   out << "admissions_per_sec " << format_fixed(window.admissions_per_sec)
       << "\n";
   out << "rejections_per_sec " << format_fixed(window.rejections_per_sec)
-      << "\n";
-  out << "conflicts_per_sec " << format_fixed(window.conflicts_per_sec)
       << "\n";
   out << "queue_depth " << format_fixed(window.queue_depth) << "\n";
   out << "p99_latency_ms " << format_fixed(window.p99_latency_ms) << "\n";

@@ -45,7 +45,6 @@ namespace kairos::obs {
 /// SLO thresholds; a value <= 0 disables that check.
 struct SloConfig {
   double max_p99_latency_ms = 0.0;  ///< admission latency p99 ceiling
-  double max_conflict_rate = 0.0;   ///< commit conflicts per second ceiling
   double max_queue_depth = 0.0;     ///< queued admissions ceiling
 };
 

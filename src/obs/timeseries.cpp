@@ -78,7 +78,6 @@ void TimeSeriesSampler::sample_locked() {
   };
   state.admissions = counter_of("service.admissions");
   state.rejections = counter_of("service.rejections");
-  state.conflicts = counter_of("service.commit_conflicts");
 
   if (primed_) {
     TimeSeriesPoint point;
@@ -88,8 +87,6 @@ void TimeSeriesSampler::sample_locked() {
         rate_per_sec(state.admissions - last_.admissions, point.dt_ms);
     point.rejections_per_sec =
         rate_per_sec(state.rejections - last_.rejections, point.dt_ms);
-    point.conflicts_per_sec =
-        rate_per_sec(state.conflicts - last_.conflicts, point.dt_ms);
     const auto gauge_it = snapshot.gauges.find("service.queue_depth");
     point.queue_depth =
         gauge_it == snapshot.gauges.end() ? 0.0 : gauge_it->second;
@@ -121,13 +118,12 @@ TimeSeriesPoint TimeSeriesSampler::window(std::size_t last_n) const {
   // Rates re-derive from event totals (rate * dt) over the combined span so
   // uneven sampling intervals weight correctly.
   double span_ms = 0.0;
-  double admissions = 0.0, rejections = 0.0, conflicts = 0.0;
+  double admissions = 0.0, rejections = 0.0;
   for (std::size_t i = ring_.size() - n; i < ring_.size(); ++i) {
     const TimeSeriesPoint& p = ring_[i];
     span_ms += p.dt_ms;
     admissions += p.admissions_per_sec * p.dt_ms / 1000.0;
     rejections += p.rejections_per_sec * p.dt_ms / 1000.0;
-    conflicts += p.conflicts_per_sec * p.dt_ms / 1000.0;
   }
 
   TimeSeriesPoint out = ring_.back();  // queue depth / p99: newest
@@ -135,7 +131,6 @@ TimeSeriesPoint TimeSeriesSampler::window(std::size_t last_n) const {
   if (span_ms > 0.0) {
     out.admissions_per_sec = admissions * 1000.0 / span_ms;
     out.rejections_per_sec = rejections * 1000.0 / span_ms;
-    out.conflicts_per_sec = conflicts * 1000.0 / span_ms;
   }
   return out;
 }
@@ -153,7 +148,6 @@ void TimeSeriesSampler::write_json(std::ostream& out) const {
     json.kv("dt_ms", p.dt_ms);
     json.kv("admissions_per_sec", p.admissions_per_sec);
     json.kv("rejections_per_sec", p.rejections_per_sec);
-    json.kv("conflicts_per_sec", p.conflicts_per_sec);
     json.kv("queue_depth", p.queue_depth);
     json.kv("p99_latency_ms", p.p99_latency_ms);
     json.end_object();

@@ -1,6 +1,6 @@
 // Windowed SLO time-series: a background thread samples the metrics
 // registry on a fixed cadence, differences consecutive counter snapshots
-// into *rates* (admissions/sec, conflicts/sec, ...) and keeps a bounded
+// into *rates* (admissions/sec, rejections/sec) and keeps a bounded
 // ring of points. Cumulative counters answer "how much ever"; this ring
 // answers "what is happening right now" — the quantity /healthz judges
 // SLOs against and `kairos_cli --watch` renders.
@@ -8,8 +8,7 @@
 // Sampled per tick (all from Registry names the admission service emits —
 // a missing metric simply reads 0, so the sampler works against any
 // registry):
-//   service.admissions / service.rejections / service.commit_conflicts
-//     -> windowed rates per second
+//   service.admissions / service.rejections -> windowed rates per second
 //   service.queue_depth                 -> instantaneous gauge
 //   service.latency_ms                  -> cumulative p99 (the sketch
 //                                          cannot be differenced; /healthz
@@ -44,7 +43,6 @@ struct TimeSeriesPoint {
   double dt_ms = 0.0;  ///< width of the differencing interval
   double admissions_per_sec = 0.0;
   double rejections_per_sec = 0.0;
-  double conflicts_per_sec = 0.0;
   double queue_depth = 0.0;     ///< gauge at sample time
   double p99_latency_ms = 0.0;  ///< cumulative, since process start
 };
@@ -90,7 +88,6 @@ class TimeSeriesSampler {
   struct CounterState {
     std::int64_t admissions = 0;
     std::int64_t rejections = 0;
-    std::int64_t conflicts = 0;
   };
 
   void loop();

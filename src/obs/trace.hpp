@@ -65,10 +65,9 @@ struct TraceEvent {
 /// thread records while a RequestScope is alive: spans gain a "req" arg,
 /// EventLog entries a "request_id" field. 0 = no request in scope.
 ///
-/// This is how a single submit() is followed through stage -> conflict ->
-/// requeue -> commit across worker threads: each worker opens a scope for
-/// the request it is processing, so whichever thread touches the request
-/// tags its telemetry with the same id.
+/// This is how a single submit() is followed through its admission phases:
+/// whichever thread admits the request opens a scope for it, so the
+/// request's telemetry carries the same id as the reply that echoes it.
 std::uint64_t current_request_id();
 
 #ifndef KAIROS_NO_OBS

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+
+#include "util/scope_exit.hpp"
 
 namespace kairos::platform {
 
@@ -11,6 +14,11 @@ thread_local SearchTrees local_trees;
 
 /// A new tree's hash capacity: room for 32 elements before a rehash.
 constexpr std::size_t kFirstSlots = 64;
+
+/// A serial no platform carries: a table marked with it is emptied on its
+/// next use.
+constexpr std::uint64_t kStaleSerial =
+    std::numeric_limits<std::uint64_t>::max();
 
 std::size_t hash_slot(ElementId e, std::size_t mask) {
   return (static_cast<std::uint32_t>(e.value) * 0x9E3779B1u) & mask;
@@ -50,6 +58,10 @@ int SearchTree::find(const Platform& platform, ElementId e) {
 
 int SearchTree::expand(const Platform& platform, ElementId target) {
   assert(!complete_);
+  // A throw part-way (an allocation failure) would leave this tree half
+  // expanded, and later searches would miss elements: the whole table is
+  // then emptied on its next use instead.
+  util::ScopeExit stale([this] { owner_->serial_ = kStaleSerial; });
   const std::int32_t pos = expanded_++;
   const ElementId e = nodes_[slot(pos)].element;
   const bool out = direction_ == SearchDirection::kOut;
@@ -71,6 +83,7 @@ int SearchTree::expand(const Platform& platform, ElementId target) {
       ring_start_.push_back(end);
     }
   }
+  stale.dismiss();
   return found;
 }
 
@@ -111,11 +124,12 @@ SearchTrees& SearchTrees::local(const Platform& platform) {
   if (table.serial_ != platform.search_serial() ||
       table.entries_ > table.cap_) {
     const std::size_t n = platform.element_count();
-    table.serial_ = platform.search_serial();
+    table.serial_ = kStaleSerial;  // until the reset below has completed
+    table.trees_.clear();
+    table.tree_of_.assign(2 * n, -1);
     table.cap_ = 2 * n * std::min<std::size_t>(n, 64);
     table.entries_ = 0;
-    table.tree_of_.assign(2 * n, -1);
-    table.trees_.clear();
+    table.serial_ = platform.search_serial();
   }
   return table;
 }
@@ -126,8 +140,9 @@ SearchTree& SearchTrees::tree(ElementId origin, SearchDirection direction) {
   assert(key < tree_of_.size() && "search origin outside the platform");
   std::int32_t& index = tree_of_[key];
   if (index < 0) {
-    index = static_cast<std::int32_t>(trees_.size());
+    // Indexed only once stored, so a throwing push leaves no dangling index.
     trees_.push_back(SearchTree(*this, origin, direction));
+    index = static_cast<std::int32_t>(trees_.size() - 1);
   }
   return trees_[static_cast<std::size_t>(index)];
 }

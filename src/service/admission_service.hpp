@@ -1,60 +1,44 @@
-// Concurrent admission service: a long-running front end to the
-// core::ResourceManager for the "heavy traffic" regime — many clients
-// submitting applications at once, each wanting an answer (admitted where /
-// rejected why) without serialising every mapping search behind one lock.
+// Admission service: a long-running front end to the core::ResourceManager
+// for many clients submitting applications at once, each wanting an answer
+// (admitted where / rejected why) as a future it can wait on.
 //
-// The pipeline is optimistic concurrency over the manager's stage/commit
-// split (resource_manager.hpp):
+// Admission is one ordered stream, as in the paper's Kairos (§III-E, Fig.
+// 1), which admits one application at a time against the live platform.
+// There are no worker threads and no queue: each request is admitted on the
+// thread that submits it.
 //
-//   submit(app) ──► request queue ──► worker pool
-//                                       │  pop up to max_batch requests
-//                                       │  scratch = snapshot_platform()
-//                                       │  for each request:
-//                                       │    staged = stage(app, scratch)
-//                                       │    commit_staged(staged)  ── conflict?
-//                                       │        │ ok                  │
-//                                       ▼        ▼                     ▼
-//                                   promise   promise        re-queue (fresh
-//                                  (reject)  (admitted)      snapshot next
-//                                                            time), after
-//                                                            max_retries fall
-//                                                            back to the
-//                                                            exclusive admit()
+//   submit(app) ──► stopping_? ──yes──► settle as "service stopped"
+//                      │ no
+//                      ▼
+//                   ++in_flight_                       (under mutex_)
+//                   report = manager_.admit(app)       (no service lock held)
+//                   append its CommitRecord, settle its promise
+//                   --in_flight_, wake drain() at 0    (under mutex_)
+//                   return the future (already settled)
 //
-// Batching is what lets mappers co-place: every request of a batch is staged
-// against the *same* scratch platform, so the second application's mapping
-// search sees the first one's placements (and the snapshot copy is amortised
-// over the batch). A commit conflict — the live platform moved between
-// snapshot and commit — costs only the staging work of that one request.
+// Concurrent submitters take turns on the manager's write lock, which
+// admit() holds for the whole attempt; there is no thread handoff. With one
+// submitter the service decides exactly as a direct admit() loop over the
+// same stream does. Removal is a direct manager_.remove(): it takes the
+// write lock between two admissions.
 //
-// The expensive phase work (the mapping search dominates, Fig. 7) runs with
-// no lock held; only the cheap re-validation in commit_staged() takes the
-// write lock. That does not make throughput scale with cores: on the paper's
-// CRISP workloads the phases are short next to the snapshot, queue handoff
-// and conflict re-staging, and bench_service has measured 4 workers at
-// 0.74-1.10x of the serial path. What the pipeline buys is overlap of
-// staging with commits, not a speedup (bench_service measures both).
-//
-// A conflicted request is parked on the retry queue, which workers drain
-// (up to max_batch) before fresh submissions, so retries batch together and
-// re-stage against one fresh snapshot instead of queueing behind new
-// traffic.
+// A caller that must not block while its requests are admitted (an I/O
+// thread) submits from a thread of its own — see CommandSession's batch
+// thread. A mapper that throws settles its own request as a rejection;
+// admit() leaves the platform exactly as it found it.
 //
 // Observability (obs::Registry::global()):
 //   counter  service.admissions        applications admitted through the service
 //   counter  service.rejections        applications rejected (any phase)
-//   counter  service.commit_conflicts  optimistic commits that lost the race
-//   counter  service.fallbacks         requests settled by the exclusive path
-//   counter  service.batches           batches popped by workers
-//   gauge    service.queue_depth       requests waiting (not yet in a batch)
+//   gauge    service.queue_depth       requests submitted, not yet settled
 //   histogram service.latency_ms       submit() -> settled, per request
 //
-// Request ids: submit() mints a process-unique id (monotone from 1), carried
-// on the Request and stamped into the settled AdmissionReport. Workers open
-// an obs::RequestScope around each request so every span and log event
-// emitted while staging/committing/requeueing it is tagged with the id; the
-// serve-mode line protocol echoes it back in replies. Discrete outcomes
-// (reject, conflict, fallback) also land in obs::EventLog::global().
+// Request ids: submit() mints a process-unique id (monotone from 1) and
+// stamps it into the settled AdmissionReport. It opens an obs::RequestScope
+// around the admission, so every span and log event emitted while admitting
+// it is tagged with the id; the serve-mode line protocol echoes it back in
+// replies. Discrete outcomes (admitted,
+// rejected, a throwing admission) also land in obs::EventLog::global().
 #pragma once
 
 #include <atomic>
@@ -62,11 +46,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -78,17 +60,10 @@
 namespace kairos::service {
 
 struct ServiceConfig {
-  /// Worker threads staging admissions concurrently. 1 degenerates to a
-  /// serial (but still asynchronous) service.
+  /// Ignored: the service starts no thread. This struct and the
+  /// constructor's parameter go together with the benchmark harness's
+  /// assignment to the field (ROADMAP C).
   int threads = 4;
-  /// Requests staged together against one platform snapshot. Larger batches
-  /// amortise the snapshot copy and let the mapper co-place queued
-  /// applications, at the cost of staler snapshots (more conflicts under
-  /// heavy churn).
-  int max_batch = 4;
-  /// Optimistic re-stages after a commit conflict before the request falls
-  /// back to the manager's exclusive admit() (which cannot conflict).
-  int max_retries = 2;
 };
 
 /// One successful commit, in registration order (handles are assigned
@@ -97,9 +72,8 @@ struct ServiceConfig {
 /// demands the exact live allocation state back.
 struct CommitRecord {
   core::AppHandle handle = -1;
-  std::vector<std::pair<platform::ElementId, platform::ResourceVector>>
-      task_allocations;
-  std::vector<std::pair<noc::Route, std::int64_t>> routes;
+  std::vector<core::TaskAllocation> task_allocations;
+  std::vector<core::LinkClaim> link_claims;
 };
 
 class AdmissionService {
@@ -110,78 +84,58 @@ class AdmissionService {
   AdmissionService& operator=(const AdmissionService&) = delete;
   ~AdmissionService();
 
-  /// Enqueues an admission request; the future settles with the full report
-  /// (admitted with handle, or rejected with phase + reason) once a worker
-  /// has processed it. Never blocks on the admission itself. After stop(),
-  /// settles immediately with a rejection.
+  /// Admits `app` on the calling thread against the live platform and
+  /// returns its future, already settled with the full report (admitted
+  /// with handle, or rejected with phase + reason). After stop(), settles
+  /// with a rejection without admitting.
   ///
   /// `request_id_out`, when non-null, receives the id minted for this
-  /// request immediately (callers echo it before the future settles — the
-  /// serve protocol acknowledges "queued req=<id>" at submit time).
+  /// request (callers echo it — the serve protocol acknowledges "queued
+  /// req=<id>").
   std::future<core::AdmissionReport> submit(
       graph::Application app, std::uint64_t* request_id_out = nullptr);
 
-  /// Synchronous removal, forwarded to the manager (removal holds the write
-  /// lock only briefly — there is nothing to overlap).
+  /// Synchronous removal, forwarded to the manager.
   util::VoidResult remove(core::AppHandle handle);
 
-  /// Blocks until every submitted request has settled (queue empty, no
-  /// request inside a worker). The service keeps running — this is the
-  /// quiesce point benches and tests use between phases.
+  /// Blocks until every submit() in progress on other threads has settled.
+  /// The service keeps serving — this is the quiesce point benches and
+  /// tests use between phases.
   void drain();
 
-  /// Drains, then joins the workers. Idempotent; the destructor calls it.
+  /// Refuses further submissions, then drains. Idempotent; the destructor
+  /// calls it.
   void stop();
 
   /// Copy of the commit log (every successful admission through the
-  /// service, including fallbacks). Sort by handle for registration order.
+  /// service). Sort by handle for registration order.
   std::vector<CommitRecord> commit_log() const;
 
-  /// Requests submitted but not yet settled.
+  /// Requests submitted but not yet settled (admissions in progress).
   std::size_t pending() const;
 
-  const ServiceConfig& config() const { return config_; }
-
  private:
-  struct Request {
-    graph::Application app;
-    std::promise<core::AdmissionReport> promise;
-    std::uint64_t id = 0;  ///< minted by submit(), echoed in the report
-    int attempt = 0;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
-  void worker_loop();
-  /// Settles one request: stamps the request id into the report, fulfils
-  /// the promise, records latency + outcome metrics, decrements the pending
-  /// count.
-  void settle(Request&& request, core::AdmissionReport report);
-  void requeue(Request&& request);
-  /// Settles a request whose staging threw `what` as a rejection naming the
-  /// exception, and logs it at error level.
-  void stage_failed(Request&& request, const std::string& what);
-  void log_commit(CommitRecord record);
+  /// Admits one request against the live platform and returns its settled
+  /// report (request id stamped, latency and outcome recorded). An
+  /// admission that throws settles as a rejection naming the exception; a
+  /// throw in the service's own bookkeeping (out of memory) terminates
+  /// rather than leave in_flight_ counting a request that never settles.
+  core::AdmissionReport admit_one(
+      const graph::Application& app, std::uint64_t id,
+      std::chrono::steady_clock::time_point submitted) noexcept;
 
   core::ResourceManager& manager_;
-  ServiceConfig config_;
 
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< workers: work available or stopping
-  std::condition_variable idle_cv_;  ///< drain(): pending count hit zero
-  std::deque<Request> queue_;    ///< fresh submissions
-  std::deque<Request> retries_;  ///< conflicted requests, drained first
-  std::size_t unsettled_ = 0;    ///< queued + inside a worker
+  std::condition_variable idle_cv_;  ///< drain(): in_flight_ reached 0
+  std::size_t in_flight_ = 0;        ///< submit() calls admitting now
   bool stopping_ = false;
-  std::vector<std::thread> workers_;
 
-  mutable std::mutex log_mutex_;
+  mutable std::mutex commit_mutex_;
   std::vector<CommitRecord> commit_log_;
 
   obs::Counter admissions_;
   obs::Counter rejections_;
-  obs::Counter conflicts_;
-  obs::Counter fallbacks_;
-  obs::Counter batches_;
   obs::Gauge queue_depth_;
   obs::Histogram latency_ms_;
 

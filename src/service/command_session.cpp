@@ -63,21 +63,17 @@ std::string service_stats_json(const core::ResourceManager& manager,
   json.kv("pending", static_cast<std::int64_t>(service.pending()));
   json.kv("admitted", counter("service.admissions"));
   json.kv("rejected", counter("service.rejections"));
-  json.kv("conflicts", counter("service.commit_conflicts"));
-  json.kv("fallbacks", counter("service.fallbacks"));
   json.end_object();
   return out.str();
 }
 
 CommandSession::CommandSession(core::ResourceManager& manager,
-                               AdmissionService& service)
-    : manager_(manager), service_(service) {}
+                               AdmissionService& service, Admission admission)
+    : manager_(manager), service_(service), admission_(admission) {}
 
 std::string CommandSession::greeting() const {
-  return format(
-      "serving (threads=%d batch=%d); commands: admit <file>..., "
-      "gen <n> [seed], remove <handle>, stats, metrics, quit",
-      service_.config().threads, service_.config().max_batch);
+  return "serving kairos; commands: admit <file>..., gen <n> [seed], "
+         "remove <handle>, stats, metrics, quit";
 }
 
 std::string CommandSession::settle_line(PendingReply& reply) const {
@@ -109,30 +105,42 @@ void CommandSession::submit_all(std::vector<graph::Application> apps,
   }
 }
 
-bool CommandSession::poll(std::vector<std::string>& out) {
-  while (next_pending_ < pending_.size()) {
-    PendingReply& reply = pending_[next_pending_];
-    if (reply.future.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready) {
-      return false;  // replies stay in submission order: stop at the first
-    }
-    out.push_back(settle_line(reply));
-    ++next_pending_;
+CommandSession::Status CommandSession::start_batch(
+    std::vector<graph::Application> apps, std::vector<std::string>& out) {
+  if (admission_ == Admission::kOnCaller) {
+    submit_all(std::move(apps), out);
+    return Status::kPending;
   }
-  pending_.clear();
-  next_pending_ = 0;
-  out.push_back("done");
+  batch_ = std::async(std::launch::async,
+                      [this, apps = std::move(apps)]() mutable {
+                        std::vector<std::string> lines;
+                        submit_all(std::move(apps), lines);
+                        for (PendingReply& reply : pending_) {
+                          lines.push_back(settle_line(reply));
+                        }
+                        pending_.clear();
+                        return lines;
+                      });
+  return Status::kPending;
+}
+
+bool CommandSession::poll(std::vector<std::string>& out) {
+  if (batch_.valid() &&
+      batch_.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    return false;
+  }
+  finish(out);
   return true;
 }
 
 void CommandSession::finish(std::vector<std::string>& out) {
-  while (next_pending_ < pending_.size()) {
-    pending_[next_pending_].future.wait();
-    out.push_back(settle_line(pending_[next_pending_]));
-    ++next_pending_;
+  if (batch_.valid()) {
+    const std::vector<std::string> lines = batch_.get();
+    out.insert(out.end(), lines.begin(), lines.end());
   }
+  // submit() returns with its future settled, so nothing here waits.
+  for (PendingReply& reply : pending_) out.push_back(settle_line(reply));
   pending_.clear();
-  next_pending_ = 0;
   out.push_back("done");
 }
 
@@ -165,8 +173,7 @@ CommandSession::Status CommandSession::handle_line(
       out.push_back("done");
       return Status::kReady;
     }
-    submit_all(std::move(apps), out);
-    return Status::kPending;
+    return start_batch(std::move(apps), out);
   }
 
   if (command == "gen") {
@@ -179,11 +186,11 @@ CommandSession::Status CommandSession::handle_line(
       out.push_back("done");
       return Status::kReady;
     }
-    submit_all(gen::make_dataset(gen::DatasetKind::kCommunicationSmall,
-                                 static_cast<int>(count),
-                                 static_cast<unsigned>(gen_seed)),
-               out);
-    return Status::kPending;
+    return start_batch(
+        gen::make_dataset(gen::DatasetKind::kCommunicationSmall,
+                          static_cast<int>(count),
+                          static_cast<unsigned>(gen_seed)),
+        out);
   }
 
   if (command == "remove") {
@@ -212,11 +219,11 @@ CommandSession::Status CommandSession::handle_line(
     };
     out.push_back(format(
         "stats live=%zu fragmentation=%.1f%% pending=%zu admitted=%lld "
-        "rejected=%lld conflicts=%lld",
+        "rejected=%lld",
         manager_.live_count(),
         100.0 * platform::external_fragmentation(manager_.platform()),
         service_.pending(), counter("service.admissions"),
-        counter("service.rejections"), counter("service.commit_conflicts")));
+        counter("service.rejections")));
     return Status::kReady;
   }
 

@@ -20,14 +20,25 @@
 //   quit | exit        "bye"; the transport decides what closing means
 //                      (stdin: daemon shutdown, socket: connection close)
 //
-// Threading/blocking contract: handle_line() never blocks on admission
-// work. Submissions park their futures as a pending batch and the call
-// returns kPending; the transport then pumps poll() — non-blocking, emits
-// whatever settled, preserving submission order — until the batch drains
-// (socket transports do this from the server's busy tick), or calls
-// finish() to block until it does (the stdin loop). While a batch is
-// pending the session rejects no input — transports simply defer further
-// lines (net::Conn keeps them buffered in order).
+// Threading/blocking contract: a session admits each batch (one admit or
+// gen line) in one of two places, fixed when it is made:
+//
+//   kOnCaller       handle_line() admits the batch itself, echoes the
+//                   "queued" lines and returns kPending; finish() (or
+//                   poll()) emits the settled replies and "done". The stdin
+//                   loop uses this: it is synchronous anyway.
+//   kOnBatchThread  handle_line() hands the batch to a thread of its own
+//                   and returns kPending at once, with no reply lines yet;
+//                   poll() is non-blocking and emits the batch's whole reply
+//                   (queued lines, settled replies, "done") once that thread
+//                   has finished. Socket transports use this, so the server's
+//                   poll thread never runs an admission and keeps answering
+//                   scrapes while a batch is admitted (net/server.hpp's
+//                   slow-work contract).
+//
+// Either way the replies keep the order above. While a batch is pending the
+// session rejects no input — transports simply defer further lines
+// (net::Conn keeps them buffered in order).
 #pragma once
 
 #include <cstdint>
@@ -40,8 +51,9 @@
 
 namespace kairos::service {
 
-/// The /stats.json document: live/fragmentation/pending plus the service
-/// counters — the machine-readable twin of the "stats" protocol line.
+/// The /stats.json document: live/fragmentation/pending plus the service's
+/// admitted/rejected counters — the machine-readable twin of the "stats"
+/// protocol line.
 std::string service_stats_json(const core::ResourceManager& manager,
                                const AdmissionService& service);
 
@@ -53,7 +65,14 @@ class CommandSession {
     kQuit      ///< client asked to end the session
   };
 
-  CommandSession(core::ResourceManager& manager, AdmissionService& service);
+  /// Where a batch is admitted; see the threading contract above.
+  enum class Admission { kOnCaller, kOnBatchThread };
+
+  CommandSession(core::ResourceManager& manager, AdmissionService& service,
+                 Admission admission = Admission::kOnCaller);
+  // A batch thread holds `this`.
+  CommandSession(const CommandSession&) = delete;
+  CommandSession& operator=(const CommandSession&) = delete;
 
   /// The banner a transport sends when a session opens.
   std::string greeting() const;
@@ -61,12 +80,12 @@ class CommandSession {
   /// Handles one command line, appending reply lines to `out`.
   Status handle_line(const std::string& line, std::vector<std::string>& out);
 
-  /// True while a submitted batch has unsettled replies.
-  bool pending() const { return !pending_.empty(); }
+  /// True while a submitted batch has replies not yet emitted.
+  bool pending() const { return batch_.valid() || !pending_.empty(); }
 
-  /// Emits every reply whose future has settled (submission order; stops at
-  /// the first still-running one). Appends the terminating "done" and
-  /// returns true when the batch is complete.
+  /// Non-blocking: once the pending batch has settled, appends its remaining
+  /// replies and the terminating "done" and returns true; false while a
+  /// batch thread is still admitting.
   bool poll(std::vector<std::string>& out);
 
   /// Blocks until the pending batch settles, appending all its replies.
@@ -79,14 +98,22 @@ class CommandSession {
     std::future<core::AdmissionReport> future;
   };
 
+  /// Submits the batch on the session's admission side; returns kPending.
+  Status start_batch(std::vector<graph::Application> apps,
+                     std::vector<std::string>& out);
   void submit_all(std::vector<graph::Application> apps,
                   std::vector<std::string>& out);
   std::string settle_line(PendingReply& reply) const;
 
   core::ResourceManager& manager_;
   AdmissionService& service_;
+  Admission admission_;
+  /// The batch's submitted requests. While batch_ is valid only the batch
+  /// thread touches it.
   std::vector<PendingReply> pending_;
-  std::size_t next_pending_ = 0;  ///< replies before this index were emitted
+  /// kOnBatchThread: the batch thread's whole reply. Declared last, so the
+  /// destructor waits for the thread before the state it writes goes away.
+  std::future<std::vector<std::string>> batch_;
 };
 
 }  // namespace kairos::service

@@ -7,14 +7,18 @@
 // asserted: reply shapes, ordering, id echo — never counter values.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/resource_manager.hpp"
+#include "mappers/incremental_mapper.hpp"
 #include "net/net.hpp"
 #include "net/server.hpp"
 #include "obs/event_log.hpp"
@@ -45,9 +49,8 @@ struct Fixture {
   core::ResourceManager manager;
   AdmissionService service;
 
-  Fixture()
-      : manager(crisp, {}),
-        service(manager, {/*threads=*/2, /*max_batch=*/2}) {}
+  explicit Fixture(core::KairosConfig config = {})
+      : manager(crisp, std::move(config)), service(manager) {}
 };
 
 TEST(CommandSessionTest, GreetingNamesTheCommands) {
@@ -169,8 +172,9 @@ struct ServedFixture : Fixture {
   net::Server server{telemetry};
   net::Address address;
 
-  ServedFixture()
-      : sampler(obs::Registry::global()),
+  explicit ServedFixture(core::KairosConfig config = {})
+      : Fixture(std::move(config)),
+        sampler(obs::Registry::global()),
         telemetry(obs::Registry::global(), obs::Tracer::global(),
                   obs::EventLog::global(), sampler) {
     telemetry.set_stats_source(
@@ -204,7 +208,8 @@ struct ServedFixture : Fixture {
 
   CommandSession& session_of(net::Conn& conn) {
     if (!conn.user) {
-      conn.user = std::make_shared<CommandSession>(manager, service);
+      conn.user = std::make_shared<CommandSession>(
+          manager, service, CommandSession::Admission::kOnBatchThread);
     }
     return *static_cast<CommandSession*>(conn.user.get());
   }
@@ -297,6 +302,91 @@ TEST(ServeProtocolTest, TwoConnectionsGetIndependentSessions) {
     ASSERT_TRUE(line.ok()) << line.error();
     if (line.value() == "done") break;
   }
+}
+
+/// The paper's incremental mapper behind a gate: map() records that it was
+/// entered, then waits until the test opens the gate — an admission held in
+/// flight for as long as the test needs.
+class GatedMapper final : public mappers::Mapper {
+ public:
+  std::string name() const override { return "gated"; }
+
+  using Mapper::map;
+  core::MappingResult map(const graph::Application& app,
+                          const std::vector<int>& impl_of,
+                          const core::PinTable& pins,
+                          platform::Platform& platform,
+                          const mappers::StopToken& stop) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    return inner_.map(app, impl_of, pins, platform, stop);
+  }
+
+  bool wait_entered() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return entered_; });
+  }
+
+  void open() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  mutable bool open_ = false;
+  mappers::IncrementalStrategy inner_;
+};
+
+TEST(ServeProtocolTest, ScrapesAnswerWhileASocketBatchIsAdmitted) {
+  const auto gate = std::make_shared<GatedMapper>();
+  core::KairosConfig config;
+  config.mapper = gate;
+  ServedFixture fixture(config);
+  net::LineClient client;
+  ASSERT_TRUE(client.connect(fixture.address).ok());
+  ASSERT_TRUE(client.send_line("gen 2 5").ok());
+
+  // The batch's first admission is inside the mapper and stays there: the
+  // server's poll thread must still answer a probe and a scrape.
+  const bool entered = gate->wait_entered();
+  const auto health = net::http_get(fixture.address, "/healthz", 3000);
+  const auto metrics = net::http_get(fixture.address, "/metrics", 3000);
+  gate->open();
+  ASSERT_TRUE(entered) << "the batch never reached the mapper";
+  ASSERT_TRUE(health.ok()) << health.error();
+  EXPECT_EQ(health.value().status, 200);
+  ASSERT_TRUE(metrics.ok()) << metrics.error();
+  EXPECT_NE(metrics.value().body.find("# EOF"), std::string::npos);
+
+  // Then the batch's reply arrives whole, in protocol order.
+  std::vector<std::uint64_t> queued_ids;
+  for (int i = 0; i < 2; ++i) {
+    auto line = client.read_line(10000);
+    ASSERT_TRUE(line.ok()) << line.error();
+    EXPECT_TRUE(starts_with(line.value(), "queued req=")) << line.value();
+    queued_ids.push_back(parse_request_id(line.value()));
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto line = client.read_line(10000);
+    ASSERT_TRUE(line.ok()) << line.error();
+    EXPECT_TRUE(starts_with(line.value(), "admitted req=") ||
+                starts_with(line.value(), "rejected req="))
+        << line.value();
+    EXPECT_EQ(parse_request_id(line.value()),
+              queued_ids[static_cast<std::size_t>(i)]);
+  }
+  auto done = client.read_line(10000);
+  ASSERT_TRUE(done.ok()) << done.error();
+  EXPECT_EQ(done.value(), "done");
 }
 
 }  // namespace

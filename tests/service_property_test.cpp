@@ -1,21 +1,31 @@
-// System property test for the concurrent admission pipeline: several client
-// threads hammer submit/remove/apps_using through one AdmissionService while
-// readers poll the shared surfaces, then two global invariants are audited:
+// System property tests for the admission service, which admits each
+// request on the thread that submits it (admission_service.hpp).
 //
-//  1. Ownership (the PR-4 invariant under concurrency): every element
-//     reservation in the platform is owned by exactly one live application —
-//     per element, the component-wise sum of the live applications'
-//     allocations equals the element's used vector, and the live task count
-//     equals its task_count().
+// ConcurrentChurnKeepsOwnershipAndReplaysExactly: several client threads,
+// each admitting its own requests, hammer submit/remove through one
+// AdmissionService while a reader polls the shared surfaces; then two
+// global invariants are audited:
+//
+//  1. Ownership: every element reservation in the platform is owned by
+//     exactly one live application — per element, the component-wise sum of
+//     the live applications' allocations equals the element's used vector,
+//     and the live task count equals its task_count().
 //
 //  2. Serial replay: replaying the service's commit log (restricted to the
 //     still-live handles, in handle = registration order) through the plain
 //     platform API onto a fresh platform reproduces the live platform's
 //     allocation state exactly — element used vectors, task counts, link
-//     virtual channels and bandwidth. Wear is excluded by design: fallback
-//     admissions run the mapping search against the live platform, whose
-//     trial placements advance wear in a way a replay of final placements
-//     does not repeat (wear feeds only the optional wear-leveling objective).
+//     virtual channels and bandwidth. Wear is excluded by design: admissions
+//     run the mapping search against the live platform, whose trial
+//     placements advance wear in a way a replay of final placements does not
+//     repeat (wear feeds only the optional wear-leveling objective).
+//
+// SingleSubmitterDecidesAsDirectAdmit: with one submitter the service makes
+// exactly the decisions of a direct admit() loop over the same stream.
+//
+// BarrierStartedSubmittersEachSettleOnce: many submitters released at once
+// contend for the manager; every request settles exactly once, with its own
+// id, and the in-flight count returns to zero.
 //
 // Run under -fsanitize=thread to also certify the locking discipline; the
 // ctest label is "property" so the TSan CI lane picks it up via -L property.
@@ -23,7 +33,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <future>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -33,6 +46,7 @@
 #include "gen/datasets.hpp"
 #include "platform/crisp.hpp"
 #include "service/admission_service.hpp"
+#include "util/rng.hpp"
 
 namespace kairos::service {
 namespace {
@@ -40,11 +54,7 @@ namespace {
 TEST(ServicePropertyTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager manager(crisp, {});
-  ServiceConfig config;
-  config.threads = 4;
-  config.max_batch = 3;
-  config.max_retries = 2;
-  AdmissionService service(manager, config);
+  AdmissionService service(manager);
 
   const auto pool =
       gen::make_dataset(gen::DatasetKind::kCommunicationSmall, 24, 0x7E57);
@@ -142,10 +152,8 @@ TEST(ServicePropertyTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
       ASSERT_TRUE(replay.allocate(element, demand));
       replay.add_task(element);
     }
-    for (const auto& [route, bandwidth] : record.routes) {
-      for (const platform::LinkId link : route.links) {
-        ASSERT_TRUE(replay.allocate_channel(link, bandwidth));
-      }
+    for (const auto& [link, bandwidth] : record.link_claims) {
+      ASSERT_TRUE(replay.allocate_channel(link, bandwidth));
     }
   }
   const platform::Snapshot expected = replay.snapshot();
@@ -172,7 +180,7 @@ TEST(ServicePropertyTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
 TEST(ServicePropertyTest, DrainQuiescesUnderConcurrentSubmissions) {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager manager(crisp, {});
-  AdmissionService service(manager, {/*threads=*/3, /*max_batch=*/2});
+  AdmissionService service(manager);
 
   const auto pool =
       gen::make_dataset(gen::DatasetKind::kCommunicationSmall, 8, 0xD12A);
@@ -192,6 +200,147 @@ TEST(ServicePropertyTest, DrainQuiescesUnderConcurrentSubmissions) {
     futures.clear();
   }
   EXPECT_EQ(manager.live_count(), 0u);
+}
+
+/// One decision, as the test compares them: bit-equal cost, not near.
+struct Decision {
+  bool admitted = false;
+  core::AppHandle handle = -1;
+  double mapping_cost = 0.0;
+  double average_hops = 0.0;
+
+  bool operator==(const Decision&) const = default;
+};
+
+Decision decision_of(const core::AdmissionReport& report) {
+  return {report.admitted, report.handle, report.mapping_cost,
+          report.average_hops};
+}
+
+TEST(ServicePropertyTest, SingleSubmitterDecidesAsDirectAdmit) {
+  for (const std::uint64_t seed : {0x51ULL, 0x52ULL, 0x53ULL}) {
+    SCOPED_TRACE(seed);
+    const auto pool =
+        gen::make_dataset(gen::DatasetKind::kCommunicationSmall, 16, seed);
+    // A churn stream: arrival i holds pool[app[i]] and departs when arrival
+    // i + life[i] comes in (departures first, then the arrival).
+    constexpr std::size_t kArrivals = 160;
+    util::Xoshiro256 rng(seed);
+    std::vector<std::size_t> app(kArrivals), life(kArrivals);
+    for (std::size_t i = 0; i < kArrivals; ++i) {
+      app[i] = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
+      life[i] = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    }
+
+    // Drives the stream through `admit` and `remove`, returning every
+    // decision in arrival order.
+    const auto drive = [&](const auto& admit, const auto& remove) {
+      std::vector<Decision> decisions;
+      std::vector<core::AppHandle> handle(kArrivals, -1);
+      for (std::size_t i = 0; i < kArrivals; ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+          if (handle[j] >= 0 && j + life[j] == i) {
+            EXPECT_TRUE(remove(handle[j]).ok());
+            handle[j] = -1;
+          }
+        }
+        const core::AdmissionReport report = admit(pool[app[i]]);
+        decisions.push_back(decision_of(report));
+        if (report.admitted) handle[i] = report.handle;
+      }
+      return decisions;
+    };
+
+    platform::Platform direct_crisp = platform::make_crisp_platform();
+    core::ResourceManager direct(direct_crisp, {});
+    const std::vector<Decision> expected = drive(
+        [&](const graph::Application& a) { return direct.admit(a); },
+        [&](core::AppHandle h) { return direct.remove(h); });
+
+    platform::Platform served_crisp = platform::make_crisp_platform();
+    core::ResourceManager manager(served_crisp, {});
+    AdmissionService service(manager);
+    const std::vector<Decision> served = drive(
+        [&](const graph::Application& a) { return service.submit(a).get(); },
+        [&](core::AppHandle h) { return service.remove(h); });
+
+    ASSERT_EQ(served.size(), expected.size());
+    std::size_t admitted = 0;
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      EXPECT_EQ(served[i], expected[i]) << "arrival " << i;
+      admitted += served[i].admitted ? 1 : 0;
+    }
+    // The stream must exercise both outcomes to mean anything.
+    EXPECT_GT(admitted, 0u);
+    EXPECT_LT(admitted, served.size());
+  }
+}
+
+TEST(ServicePropertyTest, BarrierStartedSubmittersEachSettleOnce) {
+  platform::Platform crisp = platform::make_crisp_platform();
+  core::ResourceManager manager(crisp, {});
+  AdmissionService service(manager);
+  const auto pool =
+      gen::make_dataset(gen::DatasetKind::kCommunicationSmall, 12, 0xBA22);
+
+  constexpr int kRounds = 200;
+  constexpr int kSubmitters = 8;
+  constexpr int kRequests = 1;
+  struct Sent {
+    std::uint64_t id = 0;
+    std::future<core::AdmissionReport> future;
+  };
+  std::set<std::uint64_t> ids;
+  std::set<core::AppHandle> handles;
+  std::size_t settled = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<Sent>> sent(kSubmitters);
+    std::latch start(kSubmitters);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        start.arrive_and_wait();
+        // No waiting between submissions: the submitters contend for the
+        // manager's lock and the service's in-flight count.
+        for (int i = 0; i < kRequests; ++i) {
+          Sent s;
+          s.future = service.submit(
+              pool[static_cast<std::size_t>(round + t * kRequests + i) %
+                   pool.size()],
+              &s.id);
+          sent[static_cast<std::size_t>(t)].push_back(std::move(s));
+        }
+      });
+    }
+    for (std::thread& submitter : submitters) submitter.join();
+
+    // Every submit() has returned, so every request has settled and none
+    // is still counted in flight.
+    EXPECT_EQ(service.pending(), 0u) << "round " << round;
+    for (auto& per_thread : sent) {
+      for (Sent& s : per_thread) {
+        ASSERT_EQ(s.future.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready)
+            << "round " << round << ": request " << s.id
+            << " returned unsettled";
+        const core::AdmissionReport report = s.future.get();
+        ++settled;
+        EXPECT_EQ(report.request_id, s.id);
+        EXPECT_TRUE(ids.insert(report.request_id).second)
+            << "request id " << report.request_id << " settled twice";
+        if (report.admitted) {
+          EXPECT_TRUE(handles.insert(report.handle).second)
+              << "handle " << report.handle << " assigned twice";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(settled,
+            static_cast<std::size_t>(kRounds * kSubmitters * kRequests));
+  EXPECT_FALSE(handles.empty());
+  EXPECT_EQ(manager.live_count(), handles.size());
+  EXPECT_EQ(service.commit_log().size(), handles.size());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Contract tests for service::AdmissionService and the stage/commit split it
-// drives: every submitted future settles, commits book exactly what was
-// staged, conflicts are reported without touching the platform, removal and
-// shutdown behave, the commit log matches the live bookkeeping, and a
-// mapper that throws settles its request without taking the worker down.
+// Contract tests for service::AdmissionService and for the manager's
+// stage/commit split: every submitted future settles, commits book exactly
+// what was staged, conflicts are reported without touching the platform,
+// removal and shutdown behave, the commit log matches the live bookkeeping,
+// and a mapper that throws settles its request without taking the service
+// down.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +32,7 @@ std::vector<graph::Application> small_pool(int count, std::uint64_t seed) {
 TEST(AdmissionServiceTest, EverySubmittedFutureSettles) {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager manager(crisp, {});
-  AdmissionService service(manager, {/*threads=*/3, /*max_batch=*/2});
+  AdmissionService service(manager);
 
   const auto pool = small_pool(12, 0xA11CE);
   std::vector<std::future<core::AdmissionReport>> futures;
@@ -60,7 +61,7 @@ TEST(AdmissionServiceTest, EverySubmittedFutureSettles) {
 TEST(AdmissionServiceTest, HandlesAreUniqueAcrossConcurrentAdmissions) {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager manager(crisp, {});
-  AdmissionService service(manager, {/*threads=*/4, /*max_batch=*/3});
+  AdmissionService service(manager);
 
   const auto pool = small_pool(10, 0xB0B);
   std::vector<std::future<core::AdmissionReport>> futures;
@@ -78,7 +79,7 @@ TEST(AdmissionServiceTest, HandlesAreUniqueAcrossConcurrentAdmissions) {
 TEST(AdmissionServiceTest, RemoveReleasesAndRejectsUnknownHandles) {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager manager(crisp, {});
-  AdmissionService service(manager, {/*threads=*/2});
+  AdmissionService service(manager);
 
   const auto report = service.submit(small_pool(1, 0xC0DE).front()).get();
   ASSERT_TRUE(report.admitted);
@@ -98,7 +99,7 @@ TEST(AdmissionServiceTest, RemoveReleasesAndRejectsUnknownHandles) {
 TEST(AdmissionServiceTest, SubmitAfterStopSettlesWithRejection) {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager manager(crisp, {});
-  AdmissionService service(manager, {/*threads=*/2});
+  AdmissionService service(manager);
   service.stop();
 
   auto future = service.submit(small_pool(1, 0xDEAD).front());
@@ -110,7 +111,7 @@ TEST(AdmissionServiceTest, SubmitAfterStopSettlesWithRejection) {
 TEST(AdmissionServiceTest, CommitLogMatchesLiveBookkeeping) {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager manager(crisp, {});
-  AdmissionService service(manager, {/*threads=*/4, /*max_batch=*/2});
+  AdmissionService service(manager);
 
   for (const auto& app : small_pool(8, 0xF00D)) service.submit(app);
   service.drain();
@@ -134,7 +135,7 @@ TEST(AdmissionServiceTest, CommitLogMatchesLiveBookkeeping) {
 
 /// A strategy that throws for the named applications and maps every other
 /// one with the paper's incremental mapper — the faulty member of the
-/// worker-exception test.
+/// throwing-admission test.
 class ThrowingStubMapper final : public mappers::Mapper {
  public:
   explicit ThrowingStubMapper(std::set<std::string> victims)
@@ -171,9 +172,9 @@ TEST(AdmissionServiceTest, ThrowingMapperSettlesItsRequestAndWorkerSurvives) {
   core::KairosConfig kairos_config;
   kairos_config.mapper = std::make_shared<ThrowingStubMapper>(victims);
   core::ResourceManager manager(crisp, kairos_config);
-  // One worker: every request after the first throw is served by the worker
-  // that caught it.
-  AdmissionService service(manager, {/*threads=*/1, /*max_batch=*/2});
+  // One submitter: every request after the first throw is admitted by the
+  // thread whose admission threw.
+  AdmissionService service(manager);
 
   std::vector<std::future<core::AdmissionReport>> futures;
   for (const graph::Application& app : pool) {
@@ -198,7 +199,7 @@ TEST(AdmissionServiceTest, ThrowingMapperSettlesItsRequestAndWorkerSurvives) {
   }
   EXPECT_GT(admitted, 0u);
 
-  // The worker keeps serving after the throws.
+  // The service keeps serving after the throws.
   const core::AdmissionReport after = service.submit(pool[1]).get();
   EXPECT_TRUE(after.admitted) << after.reason;
   service.drain();

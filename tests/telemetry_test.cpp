@@ -52,7 +52,6 @@ TEST(TimeSeriesSamplerTest, DifferencesCountersIntoRates) {
   // 10 admissions to 2 rejections: the rate ratio survives differencing.
   EXPECT_NEAR(point.admissions_per_sec / point.rejections_per_sec, 5.0, 0.01);
   EXPECT_DOUBLE_EQ(point.queue_depth, 5.0);
-  EXPECT_DOUBLE_EQ(point.conflicts_per_sec, 0.0);
 
   // No new deltas: the next point's rates return to zero.
   let_time_pass();
@@ -114,7 +113,6 @@ TEST(HealthModelTest, NoDataIsOk) {
 TEST(HealthModelTest, DisabledThresholdsNeverBreach) {
   TimeSeriesPoint window;
   window.p99_latency_ms = 1e9;
-  window.conflicts_per_sec = 1e9;
   window.queue_depth = 1e9;
   const HealthReport report = evaluate_health(window, true, SloConfig{});
   EXPECT_EQ(report.status, HealthStatus::kOk);
@@ -135,7 +133,7 @@ TEST(HealthModelTest, SingleMildBreachDegrades) {
 TEST(HealthModelTest, SevereOrRepeatedBreachFails) {
   SloConfig slo;
   slo.max_queue_depth = 10.0;
-  slo.max_conflict_rate = 100.0;
+  slo.max_p99_latency_ms = 100.0;
 
   TimeSeriesPoint severe;
   severe.queue_depth = 20.0;  // exactly 2x: failing
@@ -143,7 +141,7 @@ TEST(HealthModelTest, SevereOrRepeatedBreachFails) {
 
   TimeSeriesPoint repeated;
   repeated.queue_depth = 11.0;        // mild breach
-  repeated.conflicts_per_sec = 101.0; // second mild breach
+  repeated.p99_latency_ms = 101.0;  // second mild breach
   EXPECT_EQ(evaluate_health(repeated, true, slo).status,
             HealthStatus::kFailing);
 }
@@ -185,7 +183,7 @@ struct Plane {
 TEST(TelemetryServerTest, ServesOpenMetricsAndIndex) {
   Plane plane;
   plane.registry.counter("service.admissions").add(7);
-  plane.registry.counter("service.commit_conflicts").add(2);
+  plane.registry.counter("service.rejections").add(2);
   plane.registry.gauge("service.queue_depth").set(3);
 
   auto metrics = net::http_get(plane.address, "/metrics");
@@ -194,8 +192,8 @@ TEST(TelemetryServerTest, ServesOpenMetricsAndIndex) {
   const std::string& body = metrics.value().body;
   EXPECT_NE(body.find("kairos_service_admissions_total 7"), std::string::npos);
   // Every registry cell is its own unlabelled family.
-  EXPECT_NE(body.find("# TYPE kairos_service_commit_conflicts counter\n"
-                      "kairos_service_commit_conflicts_total 2\n"),
+  EXPECT_NE(body.find("# TYPE kairos_service_rejections counter\n"
+                      "kairos_service_rejections_total 2\n"),
             std::string::npos);
   EXPECT_NE(body.find("# TYPE kairos_service_queue_depth gauge\n"
                       "kairos_service_queue_depth 3\n"),
