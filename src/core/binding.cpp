@@ -1,7 +1,6 @@
 #include "core/binding.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -59,18 +58,23 @@ namespace {
 /// the mapping phase. The scratch is only a feasibility oracle — the actual
 /// placement decision is the mapping phase's.
 ///
-/// Backed by a pooled AvailabilityIndex, which answers covers() in O(log V)
-/// and claims the same element a linear first fit would (lowest id). The
-/// regret loop does not probe it per (task, implementation, round): it asks
-/// a FeasibilityClass (below), which probes at most once between two claims
-/// of its type.
+/// Backed by a pooled AvailabilityIndex, which finds the first fitting
+/// element (lowest id, as a linear first fit would) in O(log V). The regret
+/// loop does not probe it per (task, implementation, round): it asks a
+/// FeasibilityClass (below), which probes again only once a claim has
+/// taken the room of the element it found last.
 struct Pool {
   platform::ScratchAvailability avail;
 
   explicit Pool(const platform::Platform& platform) : avail(platform) {}
 
-  bool covers(ElementType type, const ResourceVector& req) const {
-    return avail->covers(type, req);
+  ElementId first_available(ElementType type,
+                            const ResourceVector& req) const {
+    return avail->first_available(type, req);
+  }
+
+  bool fits(ElementId e, const ResourceVector& req) const {
+    return req.fits_within(avail->free(e));
   }
 
   bool covers_pinned(const platform::Platform& platform, ElementId pin,
@@ -79,9 +83,10 @@ struct Pool {
            req.fits_within(avail->free(pin));
   }
 
-  void claim(ElementType type, const ResourceVector& req) {
-    const ElementId e = avail->first_available(type, req);
-    assert(e.valid() && "claim() must follow a successful covers()");
+  /// Claims `req` on `e`, which must be first_available(type, req).
+  void claim(ElementType type, ElementId e, const ResourceVector& req) {
+    assert(e == avail->first_available(type, req));
+    (void)type;
     avail->on_allocate(e, req);
   }
 
@@ -93,22 +98,26 @@ struct Pool {
 
 /// One distinct (target type, requirement) pair among the implementations
 /// of a bind's unpinned tasks. An unpinned implementation is feasible iff
-/// pool.covers(target, requirement), so every implementation of a class
-/// shares one verdict. The verdict is probed lazily, when the regret loop
-/// first asks for it, so tasks meet their verdicts in the same order (and
-/// the first infeasible task fails with the same reason) as when every
-/// implementation probes for itself, with at most as many probes.
+/// some element of its target type fits its requirement, so every
+/// implementation of a class shares one verdict. The verdict is probed
+/// lazily, when the regret loop first asks for it, so tasks meet their
+/// verdicts in the same order (and the first infeasible task fails with the
+/// same reason) as when every implementation probes for itself, with at
+/// most as many probes.
 ///
-/// Claims only shrink the pool, so a "no" stays "no". A "yes" holds until
-/// the next claim from an element of its target type: it records that
-/// type's claim count when probed, and reads as unknown once the count has
-/// moved on — an O(1) reset of every "yes" of the claimed type.
+/// Claims only shrink the pool, so a "no" stays "no". A "yes" keeps its
+/// witness, the element first_available() returned: the verdict holds for
+/// as long as the witness still fits the requirement, and only once a
+/// claim has taken the witness's room is the pool probed again (for a new
+/// witness, or a "no"). The witness is also the element a claim of the
+/// class takes: no element before it fitted when it was found, and claims
+/// only shrink, so while it fits it is still the first that does.
 struct FeasibilityClass {
   enum class Verdict : std::uint8_t { kUnknown, kYes, kNo };
 
   ElementType target;
   Verdict verdict = Verdict::kUnknown;
-  std::uint32_t claims_seen = 0;
+  ElementId witness;
   /// The requirement of the class's first implementation, in the app.
   const ResourceVector* requirement;
 };
@@ -132,14 +141,11 @@ struct BindScratch {
   std::vector<std::uint32_t> first_option;
   /// Open-addressing index of `classes` by (target, requirement); -1 = empty.
   std::vector<int> slots;
-  /// Per element type: claims made so far in this bind.
-  std::array<std::uint32_t, platform::kElementTypeCount> claims{};
 
   void reset(const graph::Application& app, const PinTable& pins) {
     classes.clear();
     options.clear();
     first_option.clear();
-    claims.fill(0);
     std::size_t impls = 0;
     for (const auto& task : app.tasks()) impls += task.implementations().size();
     std::size_t capacity = 8;
@@ -169,7 +175,7 @@ struct BindScratch {
       if (slots[i] < 0) {
         slots[i] = static_cast<int>(classes.size());
         classes.push_back({impl.target, FeasibilityClass::Verdict::kUnknown,
-                           0, &impl.requirement});
+                           ElementId{}, &impl.requirement});
         return slots[i];
       }
       const auto& cls = classes[static_cast<std::size_t>(slots[i])];
@@ -181,20 +187,15 @@ struct BindScratch {
 
   bool feasible(int c, const Pool& pool) {
     FeasibilityClass& cls = classes[static_cast<std::size_t>(c)];
-    const std::uint32_t now = claims[static_cast<std::size_t>(cls.target)];
-    if (cls.verdict == FeasibilityClass::Verdict::kUnknown ||
-        (cls.verdict == FeasibilityClass::Verdict::kYes &&
-         cls.claims_seen != now)) {
-      cls.verdict = pool.covers(cls.target, *cls.requirement)
-                        ? FeasibilityClass::Verdict::kYes
-                        : FeasibilityClass::Verdict::kNo;
-      cls.claims_seen = now;
+    using Verdict = FeasibilityClass::Verdict;
+    if (cls.verdict == Verdict::kNo) return false;
+    if (cls.verdict == Verdict::kYes &&
+        pool.fits(cls.witness, *cls.requirement)) {
+      return true;
     }
-    return cls.verdict == FeasibilityClass::Verdict::kYes;
-  }
-
-  void on_claim(ElementType type) {
-    ++claims[static_cast<std::size_t>(type)];
+    cls.witness = pool.first_available(cls.target, *cls.requirement);
+    cls.verdict = cls.witness.valid() ? Verdict::kYes : Verdict::kNo;
+    return cls.verdict == Verdict::kYes;
   }
 };
 
@@ -284,11 +285,14 @@ BindingResult BindingPhase::bind(const graph::Application& app,
     if (pins[pick_idx].has_value()) {
       pool.claim_pinned(*pins[pick_idx], impl.requirement);
     } else {
-      pool.claim(impl.target, impl.requirement);
+      const int cls =
+          scratch.options[scratch.first_option[pick_idx] +
+                          static_cast<std::size_t>(pick_impl)]
+              .cls;
+      pool.claim(impl.target,
+                 scratch.classes[static_cast<std::size_t>(cls)].witness,
+                 impl.requirement);
     }
-    // Either claim shrinks an element of impl.target (a pin's type equals
-    // its implementation's target, or it would not have been feasible).
-    scratch.on_claim(impl.target);
     --remaining;
   }
 

@@ -128,8 +128,9 @@ struct StagedAdmission {
   /// report.handle stays -1 until commit.
   AdmissionReport report;
   /// The specification, retained so the committed application can later be
-  /// re-admitted after faults or during defragmentation. Copied only when
-  /// the phases admitted it; empty otherwise.
+  /// re-admitted after faults or during defragmentation. Set only when the
+  /// phases admitted it (empty otherwise); it shares the caller's body
+  /// rather than copying it (graph::Application is copy-on-write).
   graph::Application app;
   std::vector<TaskAllocation> task_allocations;
   std::vector<LinkClaim> link_claims;

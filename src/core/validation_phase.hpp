@@ -23,7 +23,7 @@
 // sdf::HowardMcr. The state-space period gives the same rational
 // (firings/period), so the double, the status and the verdict are
 // bit-identical to the analyzer's on build_sdf's graph, which
-// validation_exactness_property_test checks. states_explored reads 0.
+// validation_exactness_property_test checks.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,6 @@ struct ValidationResult {
   std::string reason;
   double throughput = 0.0;          ///< sink firings per time unit
   double required_throughput = 0.0;
-  std::int64_t states_explored = 0;  ///< always 0: no state space is built
   sdf::ThroughputStatus status = sdf::ThroughputStatus::kDeadlock;
 };
 

@@ -5,20 +5,73 @@
 
 namespace kairos::graph {
 
+Application::Application(std::string name) { mut().name = std::move(name); }
+
+Application::Application(const Application& other) noexcept
+    : shared_(other.shared_) {
+  if (shared_ != nullptr) shared_->refs.fetch_add(1, std::memory_order_relaxed);
+}
+
+Application& Application::operator=(const Application& other) noexcept {
+  Shared* const shared = other.shared_;  // `other` may be *this
+  if (shared != nullptr) shared->refs.fetch_add(1, std::memory_order_relaxed);
+  release();
+  shared_ = shared;
+  return *this;
+}
+
+Application& Application::operator=(Application&& other) noexcept {
+  if (this != &other) {
+    release();
+    shared_ = std::exchange(other.shared_, nullptr);
+  }
+  return *this;
+}
+
+void Application::release() noexcept {
+  // acq_rel: the last owner's delete happens after every other owner's
+  // reads of the body.
+  if (shared_ != nullptr &&
+      shared_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete shared_;
+  }
+  shared_ = nullptr;
+}
+
+const Application::Body& Application::empty_body() {
+  static const Body empty;
+  return empty;
+}
+
+Application::Body& Application::mut() {
+  if (shared_ == nullptr) {
+    shared_ = new Shared;
+  } else if (shared_->refs.load(std::memory_order_acquire) != 1) {
+    // Acquire: a handle that dropped its share just before this load has
+    // finished reading the body this handle is about to write.
+    auto* own = new Shared{{1}, shared_->body};
+    release();
+    shared_ = own;
+  }
+  return shared_->body;
+}
+
 TaskId Application::add_task(std::string name) {
-  const TaskId id(static_cast<std::int32_t>(tasks_.size()));
-  tasks_.emplace_back(id, std::move(name));
-  out_channels_.emplace_back();
-  in_channels_.emplace_back();
+  Body& b = mut();
+  const TaskId id(static_cast<std::int32_t>(b.tasks.size()));
+  b.tasks.emplace_back(id, std::move(name));
+  b.out_channels.emplace_back();
+  b.in_channels.emplace_back();
   return id;
 }
 
 ChannelId Application::add_channel(TaskId src, TaskId dst,
                                    std::int64_t bandwidth, int tokens) {
-  const ChannelId id(static_cast<std::int32_t>(channels_.size()));
-  channels_.push_back(Channel{id, src, dst, bandwidth, tokens});
-  out_channels_.at(index(src)).push_back(id);
-  in_channels_.at(index(dst)).push_back(id);
+  Body& b = mut();
+  const ChannelId id(static_cast<std::int32_t>(b.channels.size()));
+  b.channels.push_back(Channel{id, src, dst, bandwidth, tokens});
+  b.out_channels.at(index(src)).push_back(id);
+  b.in_channels.at(index(dst)).push_back(id);
   return id;
 }
 
@@ -35,7 +88,7 @@ std::vector<TaskId> Application::neighbors(TaskId t) const {
 std::vector<TaskId> Application::min_degree_tasks() const {
   std::vector<TaskId> out;
   int best = std::numeric_limits<int>::max();
-  for (const auto& t : tasks_) {
+  for (const auto& t : tasks()) {
     const int d = degree(t.id());
     if (d < best) {
       best = d;
@@ -57,10 +110,10 @@ std::vector<int> Application::bfs_levels(
 void Application::bfs_levels(const std::vector<TaskId>& seeds,
                              std::vector<int>& level,
                              std::vector<TaskId>& queue) const {
-  level.assign(tasks_.size(), -1);
+  level.assign(task_count(), -1);
   // FIFO walked by index: every task enters at most once.
   queue.clear();
-  queue.reserve(tasks_.size());
+  queue.reserve(task_count());
   for (const TaskId s : seeds) {
     if (level[index(s)] == -1) {
       level[index(s)] = 0;
@@ -84,14 +137,14 @@ void Application::bfs_levels(const std::vector<TaskId>& seeds,
 }
 
 bool Application::is_connected() const {
-  if (tasks_.size() <= 1) return true;
-  const auto level = bfs_levels({tasks_.front().id()});
+  if (task_count() <= 1) return true;
+  const auto level = bfs_levels({tasks().front().id()});
   return std::all_of(level.begin(), level.end(),
                      [](int l) { return l >= 0; });
 }
 
 util::VoidResult Application::validate() const {
-  for (const auto& t : tasks_) {
+  for (const auto& t : tasks()) {
     if (t.implementations().empty()) {
       return util::Error("task '" + t.name() + "' has no implementations");
     }
@@ -106,9 +159,9 @@ util::VoidResult Application::validate() const {
       }
     }
   }
-  for (const auto& c : channels_) {
-    if (!c.src.valid() || index(c.src) >= tasks_.size() || !c.dst.valid() ||
-        index(c.dst) >= tasks_.size()) {
+  for (const auto& c : channels()) {
+    if (!c.src.valid() || index(c.src) >= task_count() || !c.dst.valid() ||
+        index(c.dst) >= task_count()) {
       return util::Error("channel " + std::to_string(c.id.value) +
                          " references an unknown task");
     }
@@ -125,7 +178,7 @@ util::VoidResult Application::validate() const {
                          " has non-positive token rate");
     }
   }
-  if (throughput_constraint_ < 0.0) {
+  if (throughput_constraint() < 0.0) {
     return util::Error("negative throughput constraint");
   }
   return util::VoidResult::success();

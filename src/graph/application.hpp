@@ -6,9 +6,11 @@
 // token rates for the SDF validation phase.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "platform/element.hpp"
@@ -96,18 +98,42 @@ struct Channel {
 };
 
 /// The application: tasks, channels, and optional performance constraints.
+///
+/// Copy-on-write. An Application is a handle to a shared, immutable body:
+/// copying one (into a service request, into the manager's record of a
+/// live application, into an eviction list) bumps a reference count and
+/// copies nothing else. The mutators — set_name, add_task, task_mut,
+/// add_channel, set_throughput_constraint — first give this handle a
+/// private copy of the body when another handle shares it, so a mutation
+/// is never seen through a copy taken before it. A default-constructed
+/// Application allocates nothing until its first mutation.
+///
+/// One caveat: a `Task&` from task_mut() refers into the body the handle
+/// held at that call. Copying the application afterwards shares that body,
+/// so writing through the old reference would change the copy too. Call
+/// task_mut() again after a copy; do not keep the reference across one.
+///
+/// Concurrent const use of handles that share a body — reading, copying,
+/// destroying — is safe; mutating one handle from several threads at once
+/// is not (as for any standard container).
 class Application {
  public:
-  Application() = default;
-  explicit Application(std::string name) : name_(std::move(name)) {}
+  Application() noexcept = default;
+  explicit Application(std::string name);
+  Application(const Application& other) noexcept;
+  Application(Application&& other) noexcept
+      : shared_(std::exchange(other.shared_, nullptr)) {}
+  Application& operator=(const Application& other) noexcept;
+  Application& operator=(Application&& other) noexcept;
+  ~Application() { release(); }
 
-  const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
+  const std::string& name() const { return body().name; }
+  void set_name(std::string name) { mut().name = std::move(name); }
 
   // --- construction -------------------------------------------------------
 
   TaskId add_task(std::string name);
-  Task& task_mut(TaskId id) { return tasks_.at(index(id)); }
+  Task& task_mut(TaskId id) { return mut().tasks.at(index(id)); }
 
   ChannelId add_channel(TaskId src, TaskId dst, std::int64_t bandwidth = 1,
                         int tokens = 1);
@@ -115,26 +141,26 @@ class Application {
   /// Throughput constraint in sink firings per time unit; 0 disables the
   /// validation check. Latency constraints are expressed as throughput
   /// constraints following Moreira & Bekooij [12] (§II of the paper).
-  double throughput_constraint() const { return throughput_constraint_; }
-  void set_throughput_constraint(double t) { throughput_constraint_ = t; }
+  double throughput_constraint() const { return body().throughput_constraint; }
+  void set_throughput_constraint(double t) { mut().throughput_constraint = t; }
 
   // --- queries -------------------------------------------------------------
 
-  std::size_t task_count() const { return tasks_.size(); }
-  std::size_t channel_count() const { return channels_.size(); }
+  std::size_t task_count() const { return body().tasks.size(); }
+  std::size_t channel_count() const { return body().channels.size(); }
 
-  const Task& task(TaskId id) const { return tasks_.at(index(id)); }
-  const std::vector<Task>& tasks() const { return tasks_; }
+  const Task& task(TaskId id) const { return body().tasks.at(index(id)); }
+  const std::vector<Task>& tasks() const { return body().tasks; }
   const Channel& channel(ChannelId id) const {
-    return channels_.at(static_cast<std::size_t>(id.value));
+    return body().channels.at(static_cast<std::size_t>(id.value));
   }
-  const std::vector<Channel>& channels() const { return channels_; }
+  const std::vector<Channel>& channels() const { return body().channels; }
 
   const std::vector<ChannelId>& out_channels(TaskId t) const {
-    return out_channels_.at(index(t));
+    return body().out_channels.at(index(t));
   }
   const std::vector<ChannelId>& in_channels(TaskId t) const {
-    return in_channels_.at(index(t));
+    return body().in_channels.at(index(t));
   }
 
   /// Undirected degree d(t): number of incident channels. δ(T) (the minimum
@@ -168,16 +194,35 @@ class Application {
   util::VoidResult validate() const;
 
  private:
-  std::size_t index(TaskId id) const {
+  struct Body {
+    std::string name;
+    std::vector<Task> tasks;
+    std::vector<Channel> channels;
+    std::vector<std::vector<ChannelId>> out_channels;
+    std::vector<std::vector<ChannelId>> in_channels;
+    double throughput_constraint = 0.0;
+  };
+  /// A body and the number of handles sharing it.
+  struct Shared {
+    std::atomic<std::int32_t> refs{1};
+    Body body;
+  };
+
+  static std::size_t index(TaskId id) {
     return static_cast<std::size_t>(id.value);
   }
 
-  std::string name_;
-  std::vector<Task> tasks_;
-  std::vector<Channel> channels_;
-  std::vector<std::vector<ChannelId>> out_channels_;
-  std::vector<std::vector<ChannelId>> in_channels_;
-  double throughput_constraint_ = 0.0;
+  /// The body every handle without one reads: empty, never written.
+  static const Body& empty_body();
+  const Body& body() const {
+    return shared_ != nullptr ? shared_->body : empty_body();
+  }
+  /// This handle's body, made private to it first if another handle shares
+  /// it (or created, if it has none).
+  Body& mut();
+  void release() noexcept;
+
+  Shared* shared_ = nullptr;
 };
 
 }  // namespace kairos::graph

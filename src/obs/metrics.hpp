@@ -4,17 +4,17 @@
 // driver), with text and JSON exposition.
 //
 // Design constraints, in order:
-//  * zero dependencies — histograms reuse util::WeightedStats, the same
-//    percentile sketch the scenario statistics are built on, so the p50/p95
-//    a bench reports and the p95 a sweep CSV column reports come from one
-//    implementation;
-//  * hot-path cheap — a Counter/Gauge handle is one raw pointer into stable
-//    registry storage, and updating it is a single relaxed atomic op (no
-//    lock, no lookup); name resolution (one mutex-guarded map lookup) is
-//    paid when the handle is obtained, which call sites do once;
-//  * thread-safe by construction — counters sum exactly across concurrent
-//    writers (tested), histograms serialise their sketch behind a
-//    per-histogram mutex;
+//  * zero dependencies;
+//  * hot-path cheap — a Counter/Gauge/Histogram handle is one raw pointer
+//    into stable registry storage, and updating it is a few relaxed atomic
+//    ops (no lock, no lookup, no allocation); name resolution (one
+//    mutex-guarded map lookup) is paid when the handle is obtained, which
+//    call sites do once;
+//  * bounded — a histogram is a fixed array of bucket counts (under 16 KB),
+//    however many samples it records, so a daemon that runs for months
+//    holds the same metrics memory as one that just started;
+//  * thread-safe by construction — counters and histogram buckets sum
+//    exactly across concurrent writers (tested);
 //  * removable — compiling with KAIROS_NO_OBS replaces everything here with
 //    inert inline stand-ins (handles that do nothing, a registry whose
 //    snapshot is empty), so instrumented call sites compile unchanged while
@@ -36,10 +36,11 @@
 #include <ostream>
 #include <string>
 
-#include "util/stats.hpp"
-
 #ifndef KAIROS_NO_OBS
+#include <array>
 #include <atomic>
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <mutex>
 #endif
@@ -67,10 +68,34 @@ struct MetricsSnapshot {
 #ifndef KAIROS_NO_OBS
 
 namespace detail {
+
+/// The storage of one histogram: log-linear bucket counts. Every power of
+/// two from 2^kMinExponent (~1e-6) to 2^kMaxExponent (~1e12) is split into
+/// kSubBuckets equal-width buckets; values below the range (zero and
+/// negatives included) count in an underflow bucket, values above it in an
+/// overflow bucket. A bucket spans 1/kSubBuckets of its power of two, so
+/// the middle of the bucket is within 1/(2·kSubBuckets) = 1.6% of any value
+/// in it.
 struct HistogramCell {
-  mutable std::mutex mutex;
-  util::WeightedStats stats;
+  static constexpr int kSubBuckets = 32;
+  static constexpr int kSubBucketBits = 5;  ///< log2(kSubBuckets)
+  static constexpr int kMinExponent = -20;
+  static constexpr int kMaxExponent = 40;
+  /// Underflow, the log-linear range, overflow.
+  static constexpr std::size_t kBuckets =
+      (kMaxExponent - kMinExponent) * kSubBuckets + 2;
+
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
+  std::atomic<double> sum{0.0};
+  std::atomic<double> min{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max{-std::numeric_limits<double>::infinity()};
+
+  /// The bucket `value` counts in.
+  static std::size_t bucket_of(double value);
+  /// The middle of a log-linear bucket (not the underflow or overflow one).
+  static double midpoint(std::size_t bucket);
 };
+
 }  // namespace detail
 
 /// Monotone event count. Handle semantics: copies observe the same cell.
@@ -116,8 +141,15 @@ class Gauge {
   std::atomic<double>* cell_ = nullptr;
 };
 
-/// Latency / size distribution backed by the util::WeightedStats percentile
-/// sketch (unit weights — every recorded sample counts once).
+/// Latency / size distribution over fixed log-linear buckets
+/// (detail::HistogramCell). record() is O(1): a few relaxed atomic adds, no
+/// lock. count, mean, min and max are exact (up to the order of concurrent
+/// additions to the sum). p50/p95/p99 pick the bucket that holds the
+/// smallest sample whose rank reaches p% of the count — exactly as a sort
+/// of every sample would — and report that bucket's middle, clamped into
+/// [min, max]: within 1.6% relative error for samples in [~1e-6, ~1e12].
+/// A percentile that lands below that range reports min, above it max.
+/// NaN samples are ignored.
 class Histogram {
  public:
   Histogram() = default;
@@ -151,13 +183,14 @@ class Registry {
   /// Zeroes every counter/gauge and clears every histogram *in place* —
   /// handles stay valid. Bench/test isolation between measured sections.
   ///
-  /// Safe against concurrent recording (service worker threads may be
-  /// mid-admit): counters and gauges are atomics, histograms reset under
-  /// their per-cell mutex, so no write is torn and no race occurs. The
-  /// boundary is per-metric, not global — a recording that races the reset
-  /// lands entirely before or entirely after the zeroing of *that* metric,
-  /// and concurrent writers may land between two cells' resets. Callers
-  /// needing an exact cut (benches) quiesce their workers first.
+  /// Safe against concurrent recording (submitters may be mid-admit):
+  /// every counter, gauge and histogram bucket is an atomic, so no write is
+  /// torn and no race occurs. The boundary is per atomic, not global: a
+  /// counter update lands entirely before or after its zeroing, but a
+  /// histogram sample racing the reset may survive in part (its bucket
+  /// count without its sum, say), and concurrent writers may land between
+  /// two cells' resets. Callers needing an exact cut (benches) quiesce
+  /// their writers first.
   void reset();
 
   MetricsSnapshot snapshot() const;

@@ -46,22 +46,30 @@ int bfs_ecc(const Platform& platform, ElementId start, std::vector<int>& dist,
 }  // namespace
 
 HopCache::HopCache(std::size_t element_count)
-    : row_once_(element_count), rows_(element_count) {}
+    : row_built_(element_count), rows_(element_count) {}
 
 const std::vector<int>& HopCache::row(const Platform& platform,
                                       ElementId from) const {
   const auto idx = static_cast<std::size_t>(from.value);
   assert(idx < rows_.size() && "hop row requested for unknown element");
-  std::call_once(row_once_[idx], [&] {
-    rows_[idx] = platform.hop_distances_from(from);
-  });
+  if (!row_built_[idx].load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(build_mutex_);
+    if (!row_built_[idx].load(std::memory_order_relaxed)) {
+      rows_[idx] = platform.hop_distances_from(from);
+      row_built_[idx].store(true, std::memory_order_release);
+    }
+  }
   return rows_[idx];
 }
 
 int HopCache::diameter(const Platform& platform) const {
-  std::call_once(diameter_once_, [&] {
-    diameter_ = exact_diameter(platform);
-  });
+  if (!diameter_built_.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(build_mutex_);
+    if (!diameter_built_.load(std::memory_order_relaxed)) {
+      diameter_ = exact_diameter(platform);
+      diameter_built_.store(true, std::memory_order_release);
+    }
+  }
   return diameter_;
 }
 

@@ -21,9 +21,11 @@
 //    topology edits (add_element/add_link) invalidate, and Platform does
 //    that by dropping its pointer; live references die with the old cache
 //    when the last holder releases it.
-//  * Filling is thread-safe. Each row (and the diameter) is computed under
-//    its own std::once_flag, so concurrent admission threads racing on a
-//    cold row block only each other, never readers of other rows.
+//  * Filling is thread-safe. Each row (and the diameter) has a "built"
+//    flag, read with acquire; a cold row is built under one build mutex and
+//    published with a release store, so readers of built rows never lock.
+//    A build that throws (an allocation failure) leaves its row unbuilt,
+//    and the next request builds it again.
 //
 // The diameter uses the iFUB algorithm (Crescenzi et al.) instead of
 // all-pairs BFS: a double sweep finds a lower bound and a central root,
@@ -63,11 +65,13 @@ class HopCache {
  private:
   static int exact_diameter(const Platform& platform);
 
-  // once_flag per row: concurrent admissions racing on a cold row serialise
-  // on that row only. rows_ never resizes, so filled rows are address-stable.
-  mutable std::vector<std::once_flag> row_once_;
+  // rows_ never resizes, so built rows are address-stable. A row (or the
+  // diameter) is written only under build_mutex_ and only while its flag is
+  // false; the flag's release store publishes it to lock-free readers.
+  mutable std::mutex build_mutex_;
+  mutable std::vector<std::atomic<bool>> row_built_;
   mutable std::vector<std::vector<int>> rows_;
-  mutable std::once_flag diameter_once_;
+  mutable std::atomic<bool> diameter_built_{false};
   mutable int diameter_ = 0;
 };
 

@@ -78,14 +78,6 @@ core::AdmissionReport AdmissionService::admit_one(
                          std::chrono::steady_clock::now() - submitted)
                          .count());
   if (report.admitted) {
-    CommitRecord record;
-    record.handle = report.handle;
-    record.task_allocations = report.layout.task_allocations(app);
-    record.link_claims = report.layout.link_claims();
-    {
-      const std::lock_guard<std::mutex> lock(commit_mutex_);
-      commit_log_.push_back(std::move(record));
-    }
     admissions_.add(1);
     obs::EventLog::global().log(
         obs::LogLevel::kInfo, "service", "admitted",
@@ -114,11 +106,6 @@ void AdmissionService::stop() {
     stopping_ = true;
   }
   drain();
-}
-
-std::vector<CommitRecord> AdmissionService::commit_log() const {
-  const std::lock_guard<std::mutex> lock(commit_mutex_);
-  return commit_log_;
 }
 
 std::size_t AdmissionService::pending() const {

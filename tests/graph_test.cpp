@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/app_io.hpp"
 #include "graph/application.hpp"
@@ -147,6 +150,106 @@ TEST(ApplicationTest, PinnedState) {
   EXPECT_EQ(app.task(a).pinned()->value, 3);
   app.task_mut(a).clear_pinned();
   EXPECT_FALSE(app.task(a).pinned().has_value());
+}
+
+// --- copy-on-write ------------------------------------------------------------
+
+/// Everything a mutator can change: the serialized form, plus the pins by
+/// element id and the adjacency lists, which the text does not carry.
+std::string contents(const Application& app) {
+  std::string out = write_application(app);
+  for (const Task& t : app.tasks()) {
+    out += " pin=" + std::to_string(t.pinned() ? t.pinned()->value : -1);
+    out += " out=" + std::to_string(app.out_channels(t.id()).size());
+    out += " in=" + std::to_string(app.in_channels(t.id()).size());
+  }
+  return out;
+}
+
+/// Each mutator of the application, applied to `app`.
+std::vector<void (*)(Application&)> mutators() {
+  return {
+      [](Application& app) { app.set_name("renamed"); },
+      [](Application& app) { app.set_throughput_constraint(0.5); },
+      [](Application& app) {
+        app.task_mut(app.add_task("e")).add_implementation(dsp_impl());
+      },
+      [](Application& app) { app.add_channel(TaskId{3}, TaskId{0}, 7); },
+      [](Application& app) {
+        app.task_mut(TaskId{1}).add_implementation(dsp_impl(50, 2.0));
+      },
+      [](Application& app) {
+        app.task_mut(TaskId{2}).set_pinned(platform::ElementId{4});
+      },
+  };
+}
+
+TEST(ApplicationCopyOnWriteTest, CopiesShareTheBodyUntilAMutation) {
+  const Application original = make_diamond();
+  Application copy = original;
+  EXPECT_EQ(&copy.tasks(), &original.tasks());
+  EXPECT_EQ(&copy.name(), &original.name());
+  copy.set_name("copy");
+  EXPECT_NE(&copy.tasks(), &original.tasks());
+  EXPECT_EQ(original.name(), "diamond");
+  // The copy's own body is not copied again by later mutations.
+  const std::vector<Task>* own = &copy.tasks();
+  copy.add_channel(TaskId{0}, TaskId{3}, 1);
+  EXPECT_EQ(&copy.tasks(), own);
+}
+
+TEST(ApplicationCopyOnWriteTest, MutatingTheOriginalLeavesACopyUnchanged) {
+  const auto all = mutators();
+  for (std::size_t m = 0; m < all.size(); ++m) {
+    Application original = make_diamond();
+    const std::string before = contents(original);
+    const Application copy = original;
+    all[m](original);
+    EXPECT_NE(contents(original), before) << "mutator " << m;
+    EXPECT_EQ(contents(copy), before) << "mutator " << m;
+  }
+}
+
+TEST(ApplicationCopyOnWriteTest, MutatingACopyLeavesTheOriginalUnchanged) {
+  const auto all = mutators();
+  for (std::size_t m = 0; m < all.size(); ++m) {
+    const Application original = make_diamond();
+    const std::string before = contents(original);
+    Application copy = original;
+    Application assigned;
+    assigned = original;
+    all[m](copy);
+    all[m](assigned);
+    EXPECT_NE(contents(copy), before) << "mutator " << m;
+    EXPECT_EQ(contents(assigned), contents(copy)) << "mutator " << m;
+    EXPECT_EQ(contents(original), before) << "mutator " << m;
+  }
+}
+
+TEST(ApplicationCopyOnWriteTest, EmptyAndMovedFromApplications) {
+  const Application empty;
+  EXPECT_EQ(empty.name(), "");
+  EXPECT_EQ(empty.task_count(), 0u);
+  EXPECT_EQ(empty.channel_count(), 0u);
+  EXPECT_DOUBLE_EQ(empty.throughput_constraint(), 0.0);
+  EXPECT_TRUE(empty.validate().ok());
+  Application copy = empty;
+  copy.add_task("a");
+  EXPECT_EQ(copy.task_count(), 1u);
+  EXPECT_EQ(empty.task_count(), 0u);
+
+  Application source = make_diamond();
+  const std::string before = contents(source);
+  Application moved = std::move(source);
+  EXPECT_EQ(contents(moved), before);
+  // A moved-from application is empty and can be built up again.
+  source = Application("again");  // NOLINT(bugprone-use-after-move)
+  source.add_task("x");
+  EXPECT_EQ(source.task_count(), 1u);
+  EXPECT_EQ(contents(moved), before);
+  const Application& alias = moved;
+  moved = alias;  // self-assignment keeps the body
+  EXPECT_EQ(contents(moved), before);
 }
 
 // --- (de)serialization ------------------------------------------------------

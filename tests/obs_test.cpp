@@ -5,10 +5,15 @@
 // decorator the registry applies to every strategy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/resource_manager.hpp"
@@ -82,6 +87,98 @@ TEST(MetricsTest, HistogramDigestAndConcurrentRecords) {
   EXPECT_NEAR(stats.p50, 500.0, 25.0);
   EXPECT_NEAR(stats.p95, 950.0, 25.0);
   EXPECT_NEAR(stats.p99, 990.0, 25.0);
+}
+
+/// The exact percentile the histogram estimates: the smallest sample whose
+/// rank reaches p% of the count.
+double exact_percentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  const double target = p / 100.0 * static_cast<double>(samples.size());
+  std::size_t rank = 0;
+  while (static_cast<double>(rank + 1) < target) ++rank;
+  return samples[rank];
+}
+
+void expect_within_2_percent(double estimate, double exact,
+                             const std::string& what) {
+  EXPECT_LE(std::abs(estimate - exact), 0.02 * exact)
+      << what << ": estimate " << estimate << ", exact " << exact;
+}
+
+TEST(MetricsTest, HistogramPercentilesWithinTwoPercentAcrossEightDecades) {
+  // Log-uniform samples over [10^lo, 10^hi] ms, recorded by four threads
+  // at once; the estimate must stay within 2% of the exact percentile.
+  for (const auto& [lo, hi] : {std::pair{-4.0, 4.0}, std::pair{-4.0, -3.0},
+                               std::pair{-1.0, 0.5}, std::pair{3.0, 4.0}}) {
+    for (std::uint32_t seed = 1; seed <= 5; ++seed) {
+      std::mt19937_64 rng(seed);
+      std::uniform_real_distribution<double> exponent(lo, hi);
+      std::vector<double> samples(20000);
+      for (double& x : samples) x = std::pow(10.0, exponent(rng));
+
+      Registry registry;
+      const Histogram histogram = registry.histogram("h");
+      std::vector<std::thread> writers;
+      constexpr std::size_t kWriters = 4;
+      for (std::size_t w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&, w] {
+          for (std::size_t i = w; i < samples.size(); i += kWriters) {
+            histogram.record(samples[i]);
+          }
+        });
+      }
+      for (auto& writer : writers) writer.join();
+
+      const HistogramStats stats = histogram.stats();
+      const std::string what = "range 1e" + std::to_string(lo) + "..1e" +
+                               std::to_string(hi) + " seed " +
+                               std::to_string(seed);
+      EXPECT_EQ(stats.count, static_cast<std::int64_t>(samples.size()))
+          << what;
+      EXPECT_EQ(stats.min, *std::min_element(samples.begin(), samples.end()));
+      EXPECT_EQ(stats.max, *std::max_element(samples.begin(), samples.end()));
+      expect_within_2_percent(stats.p50, exact_percentile(samples, 50), what);
+      expect_within_2_percent(stats.p95, exact_percentile(samples, 95), what);
+      expect_within_2_percent(stats.p99, exact_percentile(samples, 99), what);
+    }
+  }
+}
+
+TEST(MetricsTest, HistogramPercentileAtEveryBucketPosition) {
+  // p50 of {x ×99, 10x ×1} is x. Sweeping x across 1e-4..1e4 at every
+  // position inside a power of two (bucket edges included) checks each
+  // bucket's index and middle, not just where random samples fall.
+  for (int exponent = -14; exponent <= 13; ++exponent) {
+    for (int step = 0; step < 64; ++step) {
+      const double x = std::ldexp(1.0 + step / 64.0, exponent);
+      Registry registry;
+      const Histogram histogram = registry.histogram("h");
+      for (int i = 0; i < 99; ++i) histogram.record(x);
+      histogram.record(10.0 * x);
+      expect_within_2_percent(histogram.stats().p50, x,
+                              "x = " + std::to_string(x));
+    }
+  }
+}
+
+TEST(MetricsTest, HistogramOutOfRangeAndDegenerateSamples) {
+  Registry registry;
+  const Histogram histogram = registry.histogram("h");
+  EXPECT_EQ(histogram.stats().count, 0);
+  EXPECT_EQ(histogram.stats().p99, 0.0);
+  histogram.record(0.0);
+  histogram.record(std::nan(""));  // ignored
+  HistogramStats stats = histogram.stats();
+  EXPECT_EQ(stats.count, 1);
+  EXPECT_EQ(stats.p50, 0.0);
+  histogram.record(-3.0);
+  histogram.record(1e15);
+  stats = histogram.stats();
+  EXPECT_EQ(stats.count, 3);
+  EXPECT_EQ(stats.min, -3.0);
+  EXPECT_EQ(stats.max, 1e15);
+  EXPECT_EQ(stats.p50, -3.0);  // below the buckets' range: reports min
+  EXPECT_EQ(stats.p99, 1e15);  // above it: reports max
 }
 
 TEST(MetricsTest, ResetZeroesInPlaceAndHandlesStayValid) {

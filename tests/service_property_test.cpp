@@ -11,8 +11,10 @@
 //     the live applications' allocations equals the element's used vector,
 //     and the live task count equals its task_count().
 //
-//  2. Serial replay: replaying the service's commit log (restricted to the
-//     still-live handles, in handle = registration order) through the plain
+//  2. Serial replay: replaying what each admission reserved, as its own
+//     report gave it back (the layout's task allocations and link claims),
+//     restricted to the still-live handles, in handle = registration
+//     order, through the plain
 //     platform API onto a fresh platform reproduces the live platform's
 //     allocation state exactly — element used vectors, task counts, link
 //     virtual channels and bandwidth. Wear is excluded by design: admissions
@@ -80,8 +82,16 @@ TEST(ServicePropertyTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
     }
   });
 
+  // One admission's reservations, taken from the report its submit()
+  // returned.
+  struct Reserved {
+    core::AppHandle handle = -1;
+    std::vector<core::TaskAllocation> task_allocations;
+    std::vector<core::LinkClaim> link_claims;
+  };
   std::vector<std::thread> clients;
   std::vector<std::vector<core::AppHandle>> kept(kClients);
+  std::vector<std::vector<Reserved>> reserved(kClients);
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -90,6 +100,9 @@ TEST(ServicePropertyTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
             pool[static_cast<std::size_t>(c * kIterations + i) % pool.size()];
         const core::AdmissionReport report = service.submit(app).get();
         if (!report.admitted) continue;
+        reserved[static_cast<std::size_t>(c)].push_back(
+            {report.handle, report.layout.task_allocations(app),
+             report.layout.link_claims()});
         // Churn: remove two out of three admissions straight away, keep the
         // rest live so the final audit has something to own.
         if (i % 3 != 0) {
@@ -138,13 +151,19 @@ TEST(ServicePropertyTest, ConcurrentChurnKeepsOwnershipAndReplaysExactly) {
   }
 
   // --- invariant 2: serial replay of the committed order ------------------
-  std::vector<CommitRecord> log = service.commit_log();
+  std::vector<Reserved> log;
+  for (auto& per_client : reserved) {
+    for (Reserved& record : per_client) log.push_back(std::move(record));
+  }
   std::sort(log.begin(), log.end(),
-            [](const CommitRecord& a, const CommitRecord& b) {
+            [](const Reserved& a, const Reserved& b) {
               return a.handle < b.handle;
             });
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    EXPECT_LT(log[i - 1].handle, log[i].handle) << "handle reported twice";
+  }
   platform::Platform replay = platform::make_crisp_platform();
-  for (const CommitRecord& record : log) {
+  for (const Reserved& record : log) {
     if (!live_set.count(record.handle)) continue;  // later removed
     // Each prefix of the live set fits (it is component-wise <= the final
     // live state), so every replayed operation must succeed.
@@ -289,11 +308,15 @@ TEST(ServicePropertyTest, BarrierStartedSubmittersEachSettleOnce) {
   constexpr int kRequests = 1;
   struct Sent {
     std::uint64_t id = 0;
+    std::size_t app = 0;
     std::future<core::AdmissionReport> future;
   };
   std::set<std::uint64_t> ids;
   std::set<core::AppHandle> handles;
   std::size_t settled = 0;
+  // Admitted reports whose layout holds exactly the reservations the
+  // manager books for their handle.
+  std::size_t booked = 0;
   for (int round = 0; round < kRounds; ++round) {
     std::vector<std::vector<Sent>> sent(kSubmitters);
     std::latch start(kSubmitters);
@@ -305,10 +328,8 @@ TEST(ServicePropertyTest, BarrierStartedSubmittersEachSettleOnce) {
         // manager's lock and the service's in-flight count.
         for (int i = 0; i < kRequests; ++i) {
           Sent s;
-          s.future = service.submit(
-              pool[static_cast<std::size_t>(round + t * kRequests + i) %
-                   pool.size()],
-              &s.id);
+          s.app = static_cast<std::size_t>(round + t * kRequests + i);
+          s.future = service.submit(pool[s.app % pool.size()], &s.id);
           sent[static_cast<std::size_t>(t)].push_back(std::move(s));
         }
       });
@@ -332,6 +353,11 @@ TEST(ServicePropertyTest, BarrierStartedSubmittersEachSettleOnce) {
         if (report.admitted) {
           EXPECT_TRUE(handles.insert(report.handle).second)
               << "handle " << report.handle << " assigned twice";
+          const auto& app = pool[s.app % pool.size()];
+          if (report.layout.task_allocations(app) ==
+              manager.allocations_of(report.handle)) {
+            ++booked;
+          }
         }
       }
     }
@@ -340,7 +366,7 @@ TEST(ServicePropertyTest, BarrierStartedSubmittersEachSettleOnce) {
             static_cast<std::size_t>(kRounds * kSubmitters * kRequests));
   EXPECT_FALSE(handles.empty());
   EXPECT_EQ(manager.live_count(), handles.size());
-  EXPECT_EQ(service.commit_log().size(), handles.size());
+  EXPECT_EQ(booked, handles.size());
 }
 
 }  // namespace

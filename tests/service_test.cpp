@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -108,28 +109,33 @@ TEST(AdmissionServiceTest, SubmitAfterStopSettlesWithRejection) {
   EXPECT_EQ(report.reason, "service stopped");
 }
 
-TEST(AdmissionServiceTest, CommitLogMatchesLiveBookkeeping) {
+TEST(AdmissionServiceTest, AdmittedReportsMatchLiveBookkeeping) {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager manager(crisp, {});
   AdmissionService service(manager);
 
-  for (const auto& app : small_pool(8, 0xF00D)) service.submit(app);
+  // What each admission reserved, read from the report its submit()
+  // returned: the placements of the layout and the link claims of its
+  // routes.
+  std::map<core::AppHandle, std::vector<core::TaskAllocation>> reserved;
+  for (const auto& app : small_pool(8, 0xF00D)) {
+    const core::AdmissionReport report = service.submit(app).get();
+    if (!report.admitted) continue;
+    EXPECT_TRUE(
+        reserved.emplace(report.handle, report.layout.task_allocations(app))
+            .second)
+        << "handle " << report.handle << " admitted twice";
+  }
   service.drain();
 
-  const std::vector<CommitRecord> log = service.commit_log();
-  std::set<core::AppHandle> logged;
-  for (const CommitRecord& record : log) {
-    EXPECT_TRUE(logged.insert(record.handle).second)
-        << "handle " << record.handle << " committed twice";
-  }
+  ASSERT_FALSE(reserved.empty());
+  EXPECT_EQ(manager.live_count(), reserved.size());
   for (const core::AppHandle handle : manager.live_handles()) {
-    ASSERT_TRUE(logged.count(handle))
-        << "live handle " << handle << " missing from the commit log";
-    const auto it = std::find_if(
-        log.begin(), log.end(),
-        [&](const CommitRecord& r) { return r.handle == handle; });
-    // The log records exactly the reservations the manager holds live.
-    EXPECT_EQ(it->task_allocations, manager.allocations_of(handle));
+    const auto it = reserved.find(handle);
+    ASSERT_NE(it, reserved.end())
+        << "live handle " << handle << " was never reported admitted";
+    // The report carries exactly the reservations the manager holds live.
+    EXPECT_EQ(it->second, manager.allocations_of(handle));
   }
 }
 
