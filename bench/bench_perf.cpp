@@ -18,9 +18,7 @@
 // Not part of the default ctest run (latency numbers on shared CI machines
 // are noise); CI runs `bench_perf --smoke` to keep the binary and the JSON
 // schema honest, and archives the artifact for trend inspection. The
-// percentiles come from the bench's own sampling, so the file stays
-// schema-valid (and the exit code meaningful) under KAIROS_NO_OBS — only
-// the "counters" section degrades to {}.
+// percentiles come from the bench's own sampling.
 //
 //   usage: bench_perf [--smoke] [--out <file>]     (default BENCH_perf.json)
 #include <cstdio>
@@ -229,7 +227,7 @@ bool write_report(const std::string& path,
   }
   json.end_object();
   // Counter totals accumulated across all three scenarios (admissions,
-  // engine events, per-strategy map calls). Empty under KAIROS_NO_OBS.
+  // engine events, per-strategy map calls).
   json.key("counters");
   json.begin_object();
   const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();

@@ -59,9 +59,9 @@ struct SizeRun {
   double wall_ms = 0.0;
   double admissions_per_sec = 0.0;
   sim::ScenarioStats stats;
-  obs::HistogramStats admit_total_ms;  // zero-count under KAIROS_NO_OBS
+  obs::HistogramStats admit_total_ms;
   // Mean per-admission time per phase — where the wall clock goes as the
-  // platform grows (zero under KAIROS_NO_OBS, like admit_total_ms).
+  // platform grows.
   double phase_mean_ms[core::kPhaseCount] = {};
 };
 

@@ -225,7 +225,7 @@ int run_serve(kairos::platform::Platform& platform,
 
   // The telemetry plane: sampler feeding /healthz + /series, server
   // handling both framings. Constructed unconditionally (it is inert
-  // without a listener and compiles identically under KAIROS_NO_OBS).
+  // without a listener).
   obs::TimeSeriesSampler sampler;
   obs::TelemetryServer::Options telemetry_options;
   telemetry_options.slo = slo;

@@ -12,9 +12,7 @@
 #include "mappers/tabu_mapper.hpp"
 #include "mo/nsga2_mapper.hpp"
 
-#ifndef KAIROS_NO_OBS
 #include "obs/instrumented_mapper.hpp"
-#endif
 
 namespace kairos::mappers {
 
@@ -74,13 +72,11 @@ util::Result<std::shared_ptr<Mapper>> make(const std::string& name,
                        known + ")");
   }
   std::shared_ptr<Mapper> mapper = it->second(options);
-#ifndef KAIROS_NO_OBS
   // Every registry-built strategy is observable: per-strategy call counters
   // and map-latency histograms, with name() and results passing through
   // untouched. The portfolio builds its racers through make() too, so the
   // per-strategy timing inside a race comes along for free.
   mapper = std::make_shared<obs::InstrumentedMapper>(std::move(mapper));
-#endif
   return mapper;
 }
 

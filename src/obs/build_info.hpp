@@ -6,8 +6,7 @@
 // The values are injected by CMake as compile definitions on this
 // translation unit only (so a new git SHA re-compiles one file, not the
 // library); a build outside CMake degrades to "unknown" fields instead of
-// failing. Deliberately *not* gated by KAIROS_NO_OBS: provenance is
-// reproducibility metadata, not hot-path instrumentation.
+// failing.
 #pragma once
 
 #include <string>

@@ -1,12 +1,9 @@
 #include "obs/event_log.hpp"
 
-#include "obs/json.hpp"
-
-#ifndef KAIROS_NO_OBS
 #include <algorithm>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
-#endif
 
 namespace kairos::obs {
 
@@ -20,8 +17,10 @@ const char* to_string(LogLevel level) {
   return "info";
 }
 
-void write_log_event_json(const LogEvent& event, std::ostream& out) {
-  JsonWriter json(out);
+namespace {
+
+/// One event as a JSON object — the JSONL line and each /logs entry alike.
+void write_event(const LogEvent& event, JsonWriter& json) {
   json.begin_object();
   json.kv("ts_ms", event.ts_ms);
   json.kv("level", to_string(event.level));
@@ -34,7 +33,12 @@ void write_log_event_json(const LogEvent& event, std::ostream& out) {
   json.end_object();
 }
 
-#ifndef KAIROS_NO_OBS
+}  // namespace
+
+void write_log_event_json(const LogEvent& event, std::ostream& out) {
+  JsonWriter json(out);
+  write_event(event, json);
+}
 
 EventLog::EventLog() : epoch_(std::chrono::steady_clock::now()) {}
 
@@ -47,6 +51,7 @@ void EventLog::log(LogLevel level, const std::string& component,
                    const std::string& message,
                    std::vector<std::pair<std::string, std::string>> fields,
                    std::uint64_t request_id) {
+  if (!enabled(level)) return;
   LogEvent event;
   event.level = level;
   event.component = component;
@@ -59,8 +64,6 @@ void EventLog::log(LogLevel level, const std::string& component,
       std::chrono::duration<double, std::milli>(now - epoch_).count();
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (level < min_level_) return;
-
   for (Sink& sink : sinks_) {
     // Token bucket: capacity max_per_sec, refilled continuously. A burst
     // can spend the whole bucket at once; past it, events drop (counted).
@@ -86,13 +89,11 @@ void EventLog::log(LogLevel level, const std::string& component,
 }
 
 void EventLog::set_min_level(LogLevel level) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  min_level_ = level;
+  min_level_.store(level, std::memory_order_relaxed);
 }
 
 LogLevel EventLog::min_level() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return min_level_;
+  return min_level_.load(std::memory_order_relaxed);
 }
 
 void EventLog::set_capacity(std::size_t capacity) {
@@ -159,24 +160,11 @@ void EventLog::write_json(std::ostream& out) const {
   json.begin_object();
   json.key("events");
   json.begin_array();
-  for (const LogEvent& event : events) {
-    json.begin_object();
-    json.kv("ts_ms", event.ts_ms);
-    json.kv("level", std::string(to_string(event.level)));
-    json.kv("component", event.component);
-    json.kv("message", event.message);
-    if (event.request_id != 0) {
-      json.kv("request_id", static_cast<std::int64_t>(event.request_id));
-    }
-    for (const auto& [key, value] : event.fields) json.kv(key, value);
-    json.end_object();
-  }
+  for (const LogEvent& event : events) write_event(event, json);
   json.end_array();
   json.kv("evicted", evicted);
   json.kv("sink_dropped", dropped);
   json.end_object();
 }
-
-#endif  // KAIROS_NO_OBS
 
 }  // namespace kairos::obs

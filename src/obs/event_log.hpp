@@ -14,23 +14,18 @@
 //     turn the log file into the bottleneck: beyond `max_per_sec` events in
 //     a second the sink drops (counted, and reported as a
 //     "obs.log.dropped" style field in recent()/stats — never silently).
-//
-// Under -DKAIROS_NO_OBS=ON everything here is an inert inline no-op, like
-// the rest of src/obs/.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
-
-#ifndef KAIROS_NO_OBS
-#include <chrono>
-#include <deque>
-#include <mutex>
-#endif
 
 namespace kairos::obs {
 
@@ -51,8 +46,6 @@ struct LogEvent {
 /// Serialises one event as a single JSONL line (no trailing newline).
 void write_log_event_json(const LogEvent& event, std::ostream& out);
 
-#ifndef KAIROS_NO_OBS
-
 class EventLog {
  public:
   EventLog();
@@ -62,7 +55,9 @@ class EventLog {
   /// The process-wide log every built-in emitter writes to.
   static EventLog& global();
 
-  /// Records one event. `request_id` 0 picks up current_request_id() (the
+  /// Records one event, unless `level` is below min_level(): that check
+  /// comes first, so a discarded event costs one atomic load beyond its
+  /// arguments (see enabled()). `request_id` 0 picks up current_request_id() (the
   /// RequestScope of the calling thread) automatically; pass it explicitly
   /// from code running outside the scope (e.g. submit(), which mints ids).
   void log(LogLevel level, const std::string& component,
@@ -74,6 +69,11 @@ class EventLog {
   /// everything kept; a daemon under load raises it to kInfo).
   void set_min_level(LogLevel level);
   LogLevel min_level() const;
+  /// Whether log(level, ...) would keep the event. A hot call site whose
+  /// fields cost allocations checks this before building them.
+  bool enabled(LogLevel level) const {
+    return level >= min_level_.load(std::memory_order_relaxed);
+  }
 
   /// Ring capacity for recent(); oldest events are evicted (default 1024).
   void set_capacity(std::size_t capacity);
@@ -107,44 +107,12 @@ class EventLog {
   };
 
   const std::chrono::steady_clock::time_point epoch_;
+  std::atomic<LogLevel> min_level_{LogLevel::kDebug};
   mutable std::mutex mutex_;
-  LogLevel min_level_ = LogLevel::kDebug;
   std::size_t capacity_ = 1024;
   std::deque<LogEvent> ring_;
   std::int64_t evicted_ = 0;
   std::vector<Sink> sinks_;
 };
-
-#else  // KAIROS_NO_OBS — inert stand-ins.
-
-class EventLog {
- public:
-  EventLog() = default;
-  EventLog(const EventLog&) = delete;
-  EventLog& operator=(const EventLog&) = delete;
-
-  static EventLog& global() {
-    static EventLog instance;
-    return instance;
-  }
-
-  void log(LogLevel, const std::string&, const std::string&,
-           std::vector<std::pair<std::string, std::string>> = {},
-           std::uint64_t = 0) {}
-  void set_min_level(LogLevel) {}
-  LogLevel min_level() const { return LogLevel::kDebug; }
-  void set_capacity(std::size_t) {}
-  void add_sink(std::shared_ptr<std::ostream>, double = 500.0) {}
-  void clear_sinks() {}
-  std::vector<LogEvent> recent() const { return {}; }
-  std::int64_t evicted() const { return 0; }
-  std::int64_t sink_dropped() const { return 0; }
-  void reset() {}
-  void write_json(std::ostream& out) const {
-    out << "{\"events\":[],\"evicted\":0,\"sink_dropped\":0}";
-  }
-};
-
-#endif  // KAIROS_NO_OBS
 
 }  // namespace kairos::obs

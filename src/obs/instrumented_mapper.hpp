@@ -16,11 +16,8 @@
 //
 // The wrapper is transparent: name() and the MappingResult pass through
 // untouched, so regression pins (bit-identical SA trajectories etc.) see
-// exactly the inner strategy's behaviour. Compiled out entirely under
-// KAIROS_NO_OBS (mappers::make returns the bare strategy).
+// exactly the inner strategy's behaviour.
 #pragma once
-
-#ifndef KAIROS_NO_OBS
 
 #include <memory>
 
@@ -56,5 +53,3 @@ class InstrumentedMapper final : public mappers::Mapper {
 };
 
 }  // namespace kairos::obs
-
-#endif  // KAIROS_NO_OBS

@@ -1,5 +1,3 @@
-#ifndef KAIROS_NO_OBS
-
 #include "obs/metrics.hpp"
 
 #include <algorithm>
@@ -217,5 +215,3 @@ void Registry::write_json(std::ostream& out) const {
 }
 
 }  // namespace kairos::obs
-
-#endif  // KAIROS_NO_OBS

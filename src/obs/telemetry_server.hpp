@@ -21,11 +21,6 @@
 // degraded; any value at >= 2x its threshold, or two breaching checks,
 // => failing. No samples yet => ok ("no data"). Process-level mapping for
 // `kairos_cli --health`: ok -> exit 0, degraded -> 1, failing -> 2.
-//
-// The class compiles identically with and without KAIROS_NO_OBS — under
-// NO_OBS the obs components it reads are inert, so /metrics is an empty
-// (but valid) document and /healthz reports ok/no-data, while the line
-// protocol keeps working: transport is product, telemetry content is not.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,3 @@
-#ifndef KAIROS_NO_OBS
-
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
@@ -157,5 +155,3 @@ void TimeSeriesSampler::write_json(std::ostream& out) const {
 }
 
 }  // namespace kairos::obs
-
-#endif  // KAIROS_NO_OBS

@@ -14,26 +14,19 @@
 //                                          cannot be differenced; /healthz
 //                                          documents this as
 //                                          since-process-start p99)
-//
-// Under -DKAIROS_NO_OBS=ON the sampler is a no-op: start() does nothing,
-// series() is empty, window() reports zeros — and /healthz degrades to
-// "ok (no data)".
 #pragma once
 
-#include <cstddef>
-#include <ostream>
-#include <vector>
-
-#include "obs/metrics.hpp"
-
-#ifndef KAIROS_NO_OBS
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <mutex>
+#include <ostream>
 #include <thread>
-#endif
+#include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace kairos::obs {
 
@@ -51,8 +44,6 @@ struct TimeSeriesConfig {
   int interval_ms = 250;      ///< sampling cadence
   std::size_t capacity = 600; ///< ring size (600 x 250ms = 2.5 min window)
 };
-
-#ifndef KAIROS_NO_OBS
 
 class TimeSeriesSampler {
  public:
@@ -108,32 +99,5 @@ class TimeSeriesSampler {
   std::condition_variable stop_cv_;
   std::thread thread_;
 };
-
-#else  // KAIROS_NO_OBS — inert stand-in.
-
-class TimeSeriesSampler {
- public:
-  explicit TimeSeriesSampler(Registry& = Registry::global(),
-                             TimeSeriesConfig config = {})
-      : config_(config) {}
-  TimeSeriesSampler(const TimeSeriesSampler&) = delete;
-  TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
-
-  void start() {}
-  void stop() {}
-  bool running() const { return false; }
-  void sample_now() {}
-  std::vector<TimeSeriesPoint> series() const { return {}; }
-  TimeSeriesPoint window(std::size_t) const { return {}; }
-  void write_json(std::ostream& out) const {
-    out << "{\"interval_ms\":" << config_.interval_ms << ",\"points\":[]}";
-  }
-  const TimeSeriesConfig& config() const { return config_; }
-
- private:
-  TimeSeriesConfig config_;
-};
-
-#endif  // KAIROS_NO_OBS
 
 }  // namespace kairos::obs

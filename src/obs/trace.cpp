@@ -1,5 +1,3 @@
-#ifndef KAIROS_NO_OBS
-
 #include "obs/trace.hpp"
 
 #include "obs/build_info.hpp"
@@ -172,5 +170,3 @@ void Span::arg(const std::string& key, const std::string& value) {
 }
 
 }  // namespace kairos::obs
-
-#endif  // KAIROS_NO_OBS

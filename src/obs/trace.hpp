@@ -11,40 +11,36 @@
 // Span doubles as the library's stopwatch: elapsed_ms() is how the
 // resource manager populates the per-phase PhaseTimes of Fig. 7 and the
 // sweep driver its wall-clock columns. Those are *product data*, not
-// observability, so Span keeps timing even under KAIROS_NO_OBS — the macro
-// strips the recording side effects (tracer append, depth bookkeeping),
-// leaving a plain two-clock-read stopwatch.
+// observability: Span times whether or not the tracer is recording.
 //
 // Tracing is off by default: an un-started Tracer makes Span construction
 // two relaxed atomic loads plus the clock read; nothing is allocated or
 // stored. Tracer::start() arms collection process-wide.
 //
-// Thread-safety contract (exercised by the admission-service worker pool):
-// start()/stop() may race freely with spans opening, closing and recording
-// on other threads — the armed flag and the epoch are atomics, the event
-// buffer is mutex-guarded. A span that armed itself before stop() (or
+// Thread-safety contract (exercised by concurrent AdmissionService::submit()
+// callers and the serve-mode socket session threads, each admitting on its
+// own thread): start()/stop() may race freely with spans opening, closing
+// and recording on other threads — the armed flag and the epoch are
+// atomics, the event buffer is mutex-guarded. A span that armed itself before stop() (or
 // before a concurrent start() cleared the buffer) still appends its event
 // on destruction; collection boundaries are therefore *fuzzy* under
 // concurrency — spans already open when start() is called may contribute a
 // stale-timestamped event — but never a data race or a torn event. Callers
-// that need crisp boundaries quiesce their workers (e.g.
+// that need crisp boundaries quiesce their submitters (e.g.
 // AdmissionService::drain()) around start()/stop().
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <deque>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "util/timer.hpp"
-
-#ifndef KAIROS_NO_OBS
-#include <atomic>
-#include <chrono>
-#include <deque>
-#include <mutex>
-#endif
 
 namespace kairos::obs {
 
@@ -70,8 +66,6 @@ struct TraceEvent {
 /// request's telemetry carries the same id as the reply that echoes it.
 std::uint64_t current_request_id();
 
-#ifndef KAIROS_NO_OBS
-
 /// RAII setter for current_request_id() (saves and restores the previous
 /// value, so scopes nest).
 class RequestScope {
@@ -84,19 +78,6 @@ class RequestScope {
  private:
   std::uint64_t prev_;
 };
-
-#else
-
-class RequestScope {
- public:
-  explicit RequestScope(std::uint64_t) {}
-  RequestScope(const RequestScope&) = delete;
-  RequestScope& operator=(const RequestScope&) = delete;
-};
-
-#endif  // KAIROS_NO_OBS
-
-#ifndef KAIROS_NO_OBS
 
 class Tracer {
  public:
@@ -189,54 +170,5 @@ class Span {
   bool armed_ = false;  ///< tracer was active when the span opened
   std::vector<std::pair<std::string, std::string>> args_;
 };
-
-#else  // KAIROS_NO_OBS — the stopwatch survives, the recording does not.
-
-class Tracer {
- public:
-  Tracer() = default;
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  static Tracer& global() {
-    static Tracer instance;
-    return instance;
-  }
-
-  void start() {}
-  void stop() {}
-  bool active() const { return false; }
-  double now_us() const { return 0.0; }
-  void record(TraceEvent) {}
-  void set_capacity(std::size_t) {}
-  std::int64_t dropped() const { return 0; }
-  std::vector<TraceEvent> events() const { return {}; }
-  std::vector<TraceEvent> drain() { return {}; }
-  void write_json(std::ostream& out) const {
-    out << "{\"traceEvents\":[],\"otherData\":{},\"displayTimeUnit\":\"ms\"}";
-  }
-  static void write_json(const std::vector<TraceEvent>&, std::ostream& out) {
-    out << "{\"traceEvents\":[],\"otherData\":{},\"displayTimeUnit\":\"ms\"}";
-  }
-};
-
-inline std::uint64_t current_request_id() { return 0; }
-
-inline int current_thread_id() { return 0; }
-
-class Span {
- public:
-  explicit Span(const std::string&) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  void arg(const std::string&, const std::string&) {}
-  double elapsed_ms() const { return watch_.elapsed_ms(); }
-
- private:
-  util::Stopwatch watch_;
-};
-
-#endif  // KAIROS_NO_OBS
 
 }  // namespace kairos::obs

@@ -26,8 +26,11 @@ std::future<core::AdmissionReport> AdmissionService::submit(
   const std::uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (request_id_out != nullptr) *request_id_out = id;
-  obs::EventLog::global().log(obs::LogLevel::kDebug, "service", "submitted",
-                              {{"app", app.name()}}, id);
+  obs::EventLog& log = obs::EventLog::global();
+  if (log.enabled(obs::LogLevel::kDebug)) {
+    log.log(obs::LogLevel::kDebug, "service", "submitted",
+            {{"app", app.name()}}, id);
+  }
   std::promise<core::AdmissionReport> promise;
   std::future<core::AdmissionReport> future = promise.get_future();
   {

@@ -10,7 +10,8 @@
 // the thread's pooled scratch buffers):
 //  * one admit() of the 53-task beamformer on an empty CRISP;
 //  * one AdmissionService::submit() of a small Table I application, the
-//    benchmark's serving workload, averaged over a churn stream.
+//    benchmark's serving workload, averaged over a churn stream — at the
+//    default log level and with the level raised above debug.
 // A budget that starts failing names a regression; one that is beaten
 // should be lowered to the new count. The budgets are those of NDEBUG
 // builds: with assertions on, the platform audits its availability index
@@ -27,6 +28,7 @@
 #include "core/resource_manager.hpp"
 #include "gen/beamforming.hpp"
 #include "gen/datasets.hpp"
+#include "obs/event_log.hpp"
 #include "platform/crisp.hpp"
 #include "service/admission_service.hpp"
 
@@ -106,7 +108,9 @@ TEST_F(AllocationBudgetTest, BeamformerAdmit) {
   EXPECT_EQ(remove, 0u) << "allocations in one beamformer remove()";
 }
 
-TEST_F(AllocationBudgetTest, SmallApplicationSubmit) {
+/// Mean allocations per AdmissionService::submit() of a small Table I
+/// application over a churn stream on a fresh CRISP.
+double mean_submit_allocations() {
   platform::Platform crisp = platform::make_crisp_platform();
   core::ResourceManager manager(crisp, {});
   service::AdmissionService service(manager);
@@ -121,7 +125,7 @@ TEST_F(AllocationBudgetTest, SmallApplicationSubmit) {
   for (std::size_t i = 0; i < 4 * pool.size(); ++i) {
     if (live.size() == kLifetime) {
       if (live.front() >= 0) {
-        ASSERT_TRUE(service.remove(live.front()).ok());
+        EXPECT_TRUE(service.remove(live.front()).ok());
       }
       live.erase(live.begin());
     }
@@ -136,10 +140,29 @@ TEST_F(AllocationBudgetTest, SmallApplicationSubmit) {
     }
     live.push_back(report.admitted ? report.handle : -1);
   }
-  const double mean =
-      static_cast<double>(allocations) / static_cast<double>(measured);
+  return static_cast<double>(allocations) / static_cast<double>(measured);
+}
+
+TEST_F(AllocationBudgetTest, SmallApplicationSubmit) {
+  const double mean = mean_submit_allocations();
   RecordProperty("submit_allocations_mean", std::to_string(mean));
   EXPECT_LE(mean, 23.0) << "mean allocations per small-application submit()";
+}
+
+// A raised log level discards the per-request debug event before anything
+// is built for it, so the same stream allocates less per submit().
+TEST_F(AllocationBudgetTest, RaisedLogLevelSubmitBuildsNoDebugEvent) {
+  obs::EventLog& log = obs::EventLog::global();
+  const obs::LogLevel saved = log.min_level();
+  const double at_debug = mean_submit_allocations();
+  log.set_min_level(obs::LogLevel::kInfo);
+  const double at_info = mean_submit_allocations();
+  log.set_min_level(saved);
+
+  RecordProperty("submit_allocations_mean_at_info", std::to_string(at_info));
+  EXPECT_LT(at_info, at_debug)
+      << "a raised level still builds the discarded debug event";
+  EXPECT_LE(at_info, 19.0) << "mean allocations per submit() at kInfo";
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Tests for obs::EventLog: level gating, ring eviction accounting, sink
 // rate limiting (token bucket), request-id pickup from the calling thread's
-// RequestScope, and the /logs JSON shape. Compiled only in OBS builds — the
-// NO_OBS stand-in keeps nothing to assert on (obs_noop_test covers it).
+// RequestScope, and the /logs JSON shape.
 #include <gtest/gtest.h>
 
 #include <memory>

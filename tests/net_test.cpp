@@ -1,7 +1,6 @@
 // Tests for the net layer: address parsing, the poll-driven server's dual
 // framing (HTTP-lite and line protocol on one listener), the busy/on_tick
-// slow-work contract, and Unix-domain listeners. The transport is product
-// code — these tests run identically with and without KAIROS_NO_OBS.
+// slow-work contract, and Unix-domain listeners.
 #include <gtest/gtest.h>
 #include <unistd.h>
 

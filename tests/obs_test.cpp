@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -272,8 +273,11 @@ TEST(TraceTest, SpansAreInertWhileTracerIsInactive) {
   tracer.stop();  // clears prior events, leaves the tracer disarmed
   ASSERT_TRUE(tracer.events().empty());
   {
+    // The stopwatch half is product data (PhaseTimes, sweep wall-clock
+    // columns): it times whether or not the span is recorded.
     Span span("ignored");
-    EXPECT_GE(span.elapsed_ms(), 0.0);  // the stopwatch half still works
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_GE(span.elapsed_ms(), 1.0);
   }
   EXPECT_TRUE(tracer.events().empty());
 }
@@ -340,8 +344,9 @@ TEST(InstrumentedMapperTest, CountsCallsAndForwardsName) {
 TEST(MetricsTest, ResetIsSafeAgainstConcurrentRecording) {
   // The documented contract: reset() may race freely with writers — no torn
   // values, no data race (certified under -fsanitize=thread), per-metric
-  // boundary. The service worker pool relies on this when a bench resets
-  // between measured sections while admissions are still settling.
+  // boundary. A bench relies on this when it resets between measured
+  // sections while concurrent submitters or serve-mode session threads are
+  // still recording their admissions.
   Registry registry;
   const Counter counter = registry.counter("reset.counter");
   const Gauge gauge = registry.gauge("reset.gauge");

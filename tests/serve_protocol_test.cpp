@@ -1,10 +1,10 @@
 // Tests for the daemon's command protocol, transport-independent by
 // construction: the same service::CommandSession is driven directly (the
 // stdin transport) and over a net::Server with the session-per-connection
-// wiring `kairos_cli --serve --listen` uses. Runs identically with and
-// without KAIROS_NO_OBS — request ids are product data (minted by the
-// admission service, echoed in replies), so only mode-independent facts are
-// asserted: reply shapes, ordering, id echo — never counter values.
+// wiring `kairos_cli --serve --listen` uses. Request ids are product data
+// (minted by the admission service, echoed in replies); the assertions are
+// about the protocol — reply shapes, ordering, id echo — never counter
+// values.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -264,8 +264,7 @@ TEST(ServeProtocolTest, HttpEndpointsAnswerOnTheSameSocket) {
   EXPECT_EQ(stats.value().status, 200);
   EXPECT_NE(stats.value().body.find("\"live\":0"), std::string::npos);
 
-  // /metrics serves a terminated OpenMetrics document in every build mode
-  // (empty-but-valid under KAIROS_NO_OBS).
+  // /metrics serves a terminated OpenMetrics document.
   auto metrics = net::http_get(fixture.address, "/metrics");
   ASSERT_TRUE(metrics.ok()) << metrics.error();
   EXPECT_EQ(metrics.value().status, 200);

@@ -1,9 +1,6 @@
 // Tests for the telemetry plane's observability half: the SLO time-series
 // sampler (counter differencing, window aggregation),
 // the health model, and the TelemetryServer endpoints over a real socket.
-// Compiled only in OBS builds — under NO_OBS the sampler and registry are
-// inert and there is nothing to sample (the serve-protocol test covers the
-// transport in both modes).
 #include <gtest/gtest.h>
 
 #include <chrono>
