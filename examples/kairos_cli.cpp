@@ -63,7 +63,6 @@
 // cells — and writes Chrome trace-event JSON loadable in Perfetto or
 // chrome://tracing. Both work with every mode.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -103,6 +102,7 @@
 #include "sim/sweep.hpp"
 #include "sim/workload.hpp"
 #include "util/csv.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -503,17 +503,12 @@ int main(int argc, char** argv) {
       }
       // Strict parse: strtoull alone would read "abc" as 0, "12x" as 12
       // and "-1" as 2^64-1.
-      errno = 0;
-      const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
-      if (text.empty() ||
-          text.find_first_not_of("0123456789") != std::string::npos ||
-          errno == ERANGE) {
+      if (!util::parse_unsigned(text, seed)) {
         std::fprintf(stderr,
                      "--seed must be a whole unsigned decimal, got '%s'\n",
                      text.c_str());
         return 64;
       }
-      seed = static_cast<std::uint64_t>(value);
     } else if (arg == "--sa-full") {
       sa_full = true;
     } else if (arg == "--cancel-bound") {

@@ -77,8 +77,8 @@ struct Pool {
     return req.fits_within(avail->free(e));
   }
 
-  bool covers_pinned(const platform::Platform& platform, ElementId pin,
-                     const ResourceVector& req) const {
+  bool pin_fits(const platform::Platform& platform, ElementId pin,
+                const ResourceVector& req) const {
     return !platform.element(pin).is_failed() &&
            req.fits_within(avail->free(pin));
   }
@@ -87,11 +87,11 @@ struct Pool {
   void claim(ElementType type, ElementId e, const ResourceVector& req) {
     assert(e == avail->first_available(type, req));
     (void)type;
-    avail->on_allocate(e, req);
+    avail->set_free(e, avail->free(e) - req);
   }
 
   void claim_pinned(ElementId pin, const ResourceVector& req) {
-    avail->on_allocate(pin, req);
+    avail->set_free(pin, avail->free(pin) - req);
     assert(!avail->free(pin).any_negative());
   }
 };
@@ -216,7 +216,7 @@ BindingResult BindingPhase::bind(const graph::Application& app,
   auto pinned_feasible = [&](const graph::Implementation& impl,
                              ElementId pin) {
     return platform_->element(pin).type() == impl.target &&
-           pool.covers_pinned(*platform_, pin, impl.requirement);
+           pool.pin_fits(*platform_, pin, impl.requirement);
   };
   BindScratch& scratch = bind_scratch();
   scratch.reset(app, pins);

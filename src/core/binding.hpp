@@ -14,9 +14,10 @@
 //  (1) at least one element of the target type can individually satisfy the
 //      requirement out of its *current free* capacity (otherwise av(e,t) is
 //      empty and mapping could never succeed), and
-//  (2) the aggregate free pool of the target type — minus what earlier-bound
-//      tasks of this application already claimed — still covers the
-//      requirement ("available somewhere in the platform").
+//  (2) once earlier-bound tasks of this application have claimed their
+//      elements on a scratch copy of the availability index, some element
+//      of the target type still has room for the requirement ("available
+//      somewhere in the platform").
 #pragma once
 
 #include <optional>

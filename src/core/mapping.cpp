@@ -77,12 +77,6 @@ MappingResult IncrementalMapper::map(const graph::Application& app,
   assert(impl_of.size() == app.task_count());
   assert(pins.size() == app.task_count());
 
-  // Build (or reuse) the platform's incremental availability index before
-  // opening the transaction: every allocate below maintains it, and the
-  // candidate scans (M0, anchors) answer from it in O(log V + matches)
-  // instead of scanning all elements per task.
-  platform.ensure_availability();
-
   // The mapper mutates only element state (allocate/add_task); links are the
   // routing phase's business, so the rollback snapshot can skip them.
   platform::Transaction txn(platform, platform::SnapshotScope::kElementsOnly);

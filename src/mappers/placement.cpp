@@ -166,7 +166,7 @@ util::VoidResult first_fit_assignment(
       return util::Error("no available element for task '" + task.name() +
                          "'");
     }
-    avail.on_allocate(chosen, requirements[idx]);
+    avail.set_free(chosen, avail.free(chosen) - requirements[idx]);
     element_of[idx] = chosen;
   }
   return util::VoidResult::success();

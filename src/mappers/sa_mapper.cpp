@@ -116,8 +116,8 @@ core::MappingResult SaMapper::map(const graph::Application& app,
           if (delta < 0.0 ||
               rng.uniform01() <
                   std::exp(-2.0 * delta / (temperature * initial_cost))) {
-            avail->on_release(from, requirements[t]);
-            avail->on_allocate(to, requirements[t]);
+            avail->set_free(from, avail->free(from) + requirements[t]);
+            avail->set_free(to, avail->free(to) - requirements[t]);
             current[t] = to;
             current_cost = trial_cost;
           } else if (use_delta) {
@@ -153,12 +153,10 @@ core::MappingResult SaMapper::map(const graph::Application& app,
           if (delta < 0.0 ||
               rng.uniform01() <
                   std::exp(-2.0 * delta / (temperature * initial_cost))) {
-            // Release-then-allocate per element keeps intermediate frees
-            // non-negative; the net effect is the exchanged requirements.
-            avail->on_release(from, requirements[t]);
-            avail->on_allocate(from, requirements[u]);
-            avail->on_release(other, requirements[u]);
-            avail->on_allocate(other, requirements[t]);
+            avail->set_free(
+                from, avail->free(from) + requirements[t] - requirements[u]);
+            avail->set_free(
+                other, avail->free(other) + requirements[u] - requirements[t]);
             current[t] = other;
             current[u] = from;
             current_cost = trial_cost;

@@ -138,8 +138,9 @@ core::MappingResult TabuMapper::map(const graph::Application& app,
       const ElementId from = current[chosen_task];
       evaluator.apply_move(TaskId{static_cast<std::int32_t>(chosen_task)},
                            chosen_to);
-      avail->on_release(from, requirements[chosen_task]);
-      avail->on_allocate(chosen_to, requirements[chosen_task]);
+      avail->set_free(from, avail->free(from) + requirements[chosen_task]);
+      avail->set_free(chosen_to,
+                      avail->free(chosen_to) - requirements[chosen_task]);
       changed_log.push_back(from);
       changed_log.push_back(chosen_to);
       current[chosen_task] = chosen_to;

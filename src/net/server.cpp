@@ -42,9 +42,23 @@ const char* status_reason(int status) {
     case 204: return "No Content";
     case 400: return "Bad Request";
     case 404: return "Not Found";
+    case 431: return "Request Header Fields Too Large";
     case 503: return "Service Unavailable";
     default: return "Status";
   }
+}
+
+/// Writes the status line, headers and (unless HEAD) body, then closes.
+void send_response(Conn& conn, const std::string& method,
+                   const HttpResponse& response) {
+  std::string out = "HTTP/1.0 " + std::to_string(response.status) + " " +
+                    status_reason(response.status) + "\r\n";
+  out += "Content-Type: " + response.content_type + "\r\n";
+  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+  out += "Connection: close\r\n\r\n";
+  if (method != "HEAD") out += response.body;
+  conn.send(out);
+  conn.close_after_write();
 }
 
 }  // namespace
@@ -144,7 +158,16 @@ void Server::dispatch_http(Conn& conn) {
     end = conn.inbuf_.find("\n\n");
     skip = 2;
   }
-  if (end == std::string::npos) return;  // headers incomplete, keep reading
+  if (end == std::string::npos) {
+    if (conn.inbuf_.size() < kMaxInputBytes) return;  // keep reading
+    conn.inbuf_.clear();
+    conn.http_dispatched_ = true;
+    HttpResponse too_long;
+    too_long.status = 431;
+    too_long.body = "request head too long\n";
+    send_response(conn, "GET", too_long);
+    return;
+  }
 
   const std::string head = conn.inbuf_.substr(0, end);
   conn.inbuf_.erase(0, end + skip);
@@ -165,15 +188,7 @@ void Server::dispatch_http(Conn& conn) {
         request_line.substr(first_space + 1, second_space - first_space - 1);
   }
 
-  HttpResponse response = handler_.on_http(request);
-  std::string out = "HTTP/1.0 " + std::to_string(response.status) + " " +
-                    status_reason(response.status) + "\r\n";
-  out += "Content-Type: " + response.content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
-  out += "Connection: close\r\n\r\n";
-  if (request.method != "HEAD") out += response.body;
-  conn.send(out);
-  conn.close_after_write();
+  send_response(conn, request.method, handler_.on_http(request));
 }
 
 void Server::handle_input(Conn& conn) {
@@ -185,7 +200,14 @@ void Server::handle_input(Conn& conn) {
   // a reply in flight (busy) so command order is preserved.
   while (!conn.busy_ && !conn.closing_) {
     const auto newline = conn.inbuf_.find('\n');
-    if (newline == std::string::npos) return;
+    if (newline == std::string::npos) {
+      if (conn.inbuf_.size() >= kMaxInputBytes) {
+        conn.inbuf_.clear();
+        conn.send_line("error line too long");
+        conn.close_after_write();
+      }
+      return;
+    }
     std::string line = conn.inbuf_.substr(0, newline);
     conn.inbuf_.erase(0, newline + 1);
     if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -207,7 +229,8 @@ void Server::loop() {
     pfds.clear();
     for (const int fd : listen_fds_) pfds.push_back({fd, POLLIN, 0});
     for (const auto& conn : conns_) {
-      short events = POLLIN;
+      // A full input buffer waits for its lines to be dispatched.
+      short events = conn->inbuf_.size() < kMaxInputBytes ? POLLIN : 0;
       if (!conn->outbuf_.empty()) events |= POLLOUT;
       pfds.push_back({conn->fd_, events, 0});
     }
@@ -236,9 +259,11 @@ void Server::loop() {
       // New connections accepted this iteration have no pollfd yet.
       const bool polled = listeners + i < pfds.size();
       if (polled && (pfds[listeners + i].revents & (POLLIN | POLLHUP))) {
-        for (;;) {
+        while (conn.inbuf_.size() < kMaxInputBytes) {
           char chunk[4096];
-          const ssize_t n = ::recv(conn.fd_, chunk, sizeof(chunk), 0);
+          const std::size_t room =
+              std::min(sizeof(chunk), kMaxInputBytes - conn.inbuf_.size());
+          const ssize_t n = ::recv(conn.fd_, chunk, room, 0);
           if (n > 0) {
             conn.inbuf_.append(chunk, static_cast<std::size_t>(n));
             continue;

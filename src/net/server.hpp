@@ -24,6 +24,11 @@
 // until the handler clears the flag. This is how `--serve --listen` keeps
 // answering /metrics while a batch of admissions is in flight.
 //
+// Input is bounded: a connection buffers at most Server::kMaxInputBytes.
+// Reads pause while its buffer is full of complete lines (a busy
+// connection), and a line or HTTP head that alone reaches the cap is
+// answered with "error line too long" (HTTP: 431) and the connection closed.
+//
 // Shutdown: stop() (or destruction) joins the poll thread and closes every
 // socket; Unix-domain socket paths are unlinked.
 #pragma once
@@ -90,6 +95,9 @@ class Server {
     /// Connection is going away (peer closed or server stopping).
     virtual void on_close(Conn& conn) { (void)conn; }
   };
+
+  /// The most input one connection buffers (64 KiB).
+  static constexpr std::size_t kMaxInputBytes = 64 * 1024;
 
   explicit Server(Handler& handler) : handler_(handler) {}
   Server(const Server&) = delete;

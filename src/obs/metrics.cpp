@@ -34,6 +34,33 @@ double HistogramCell::midpoint(std::size_t bucket) {
   return std::ldexp(1.0 + (sub + 0.5) / kSubBuckets, exponent);
 }
 
+BucketCounts BucketCounts::since(const BucketCounts& earlier) const {
+  BucketCounts out = *this;
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] < earlier.counts[b]) return out;  // reset in between
+  }
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    out.counts[b] -= earlier.counts[b];
+  }
+  out.total -= earlier.total;
+  return out;
+}
+
+double BucketCounts::percentile(double p) const {
+  const double target = p / 100.0 * static_cast<double>(total);
+  std::uint64_t cumulative = 0;
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    cumulative += counts[b];
+    if (counts[b] == 0 || static_cast<double>(cumulative) < target) continue;
+    if (b == 0) return min;
+    if (b == counts.size() - 1) return max;
+    // Not std::clamp: a record racing the read may have counted its bucket
+    // before its min/max became visible to it.
+    return std::min(std::max(HistogramCell::midpoint(b), min), max);
+  }
+  return total == 0 ? 0.0 : max;
+}
+
 }  // namespace detail
 
 namespace {
@@ -76,43 +103,32 @@ void Histogram::record(double value) const {
   atomic_max(cell_->max, value);
 }
 
+void Histogram::read(detail::BucketCounts& out) const {
+  out = detail::BucketCounts{};
+  if (!cell_) return;
+  for (std::size_t b = 0; b < out.counts.size(); ++b) {
+    out.counts[b] = cell_->buckets[b].load(std::memory_order_relaxed);
+    out.total += out.counts[b];
+  }
+  out.min = cell_->min.load(std::memory_order_relaxed);
+  out.max = cell_->max.load(std::memory_order_relaxed);
+}
+
 HistogramStats Histogram::stats() const {
   HistogramStats out;
-  if (!cell_) return out;
-  using Cell = detail::HistogramCell;
   // One pass copies the counts, so every percentile below reads the same
   // distribution even while other threads keep recording.
-  std::array<std::uint64_t, Cell::kBuckets> counts;
-  std::uint64_t total = 0;
-  for (std::size_t b = 0; b < Cell::kBuckets; ++b) {
-    counts[b] = cell_->buckets[b].load(std::memory_order_relaxed);
-    total += counts[b];
-  }
-  if (total == 0) return out;
-  const double min = cell_->min.load(std::memory_order_relaxed);
-  const double max = cell_->max.load(std::memory_order_relaxed);
-  const auto percentile = [&](double p) {
-    const double target = p / 100.0 * static_cast<double>(total);
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < Cell::kBuckets; ++b) {
-      cumulative += counts[b];
-      if (counts[b] == 0 || static_cast<double>(cumulative) < target) continue;
-      if (b == 0) return min;
-      if (b == Cell::kBuckets - 1) return max;
-      // Not std::clamp: a record racing this read may have counted its
-      // bucket before its min/max became visible here.
-      return std::min(std::max(Cell::midpoint(b), min), max);
-    }
-    return max;
-  };
-  out.count = static_cast<std::int64_t>(total);
+  detail::BucketCounts counts;
+  read(counts);
+  if (counts.total == 0) return out;
+  out.count = static_cast<std::int64_t>(counts.total);
   out.mean = cell_->sum.load(std::memory_order_relaxed) /
-             static_cast<double>(total);
-  out.min = min;
-  out.max = max;
-  out.p50 = percentile(50.0);
-  out.p95 = percentile(95.0);
-  out.p99 = percentile(99.0);
+             static_cast<double>(counts.total);
+  out.min = counts.min;
+  out.max = counts.max;
+  out.p50 = counts.percentile(50.0);
+  out.p95 = counts.percentile(95.0);
+  out.p99 = counts.percentile(99.0);
   return out;
 }
 
@@ -140,6 +156,12 @@ Histogram Registry::histogram(const std::string& name) {
   auto& cell = histograms_[name];
   if (!cell) cell = std::make_unique<detail::HistogramCell>();
   return Histogram(cell.get());
+}
+
+Histogram Registry::find_histogram(const std::string& name) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = histograms_.find(name);
+  return it == histograms_.end() ? Histogram() : Histogram(it->second.get());
 }
 
 void Registry::reset() {

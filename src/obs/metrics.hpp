@@ -87,6 +87,27 @@ struct HistogramCell {
   static double midpoint(std::size_t bucket);
 };
 
+/// A copy of one histogram's bucket counts (Histogram::read), or the
+/// counts recorded between two copies (since()).
+struct BucketCounts {
+  std::array<std::uint64_t, HistogramCell::kBuckets> counts{};
+  std::uint64_t total = 0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+
+  /// The counts recorded since `earlier`, a copy of the same histogram
+  /// taken before this one. min and max stay this copy's: they bound every
+  /// sample of the difference. When a reset came between the two copies (a
+  /// bucket shrank), all of this copy counts as recorded since.
+  BucketCounts since(const BucketCounts& earlier) const;
+
+  /// The p-th percentile, 0 when there are no counts: the bucket that holds
+  /// the smallest sample whose rank reaches p% of the total (nearest rank),
+  /// reported as its middle clamped into [min, max]. The underflow bucket
+  /// reads min, the overflow bucket max.
+  double percentile(double p) const;
+};
+
 }  // namespace detail
 
 /// Monotone event count. Handle semantics: copies observe the same cell.
@@ -148,6 +169,10 @@ class Histogram {
   void record(double value) const;
   HistogramStats stats() const;
 
+  /// Copies the bucket counts, total, min and max into `out` in one pass
+  /// (all zero for a null handle).
+  void read(detail::BucketCounts& out) const;
+
  private:
   friend class Registry;
   explicit Histogram(detail::HistogramCell* cell) : cell_(cell) {}
@@ -170,6 +195,10 @@ class Registry {
   Counter counter(const std::string& name);
   Gauge gauge(const std::string& name);
   Histogram histogram(const std::string& name);
+
+  /// The named histogram, or a null handle (which reads as empty) when no
+  /// code has created it; never creates one.
+  Histogram find_histogram(const std::string& name) const;
 
   /// Zeroes every counter/gauge and clears every histogram *in place* —
   /// handles stay valid. Bench/test isolation between measured sections.

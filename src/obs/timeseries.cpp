@@ -31,6 +31,10 @@ void TimeSeriesSampler::start() {
     if (running_.load(std::memory_order_relaxed)) return;
     stop_requested_ = false;
     running_.store(true, std::memory_order_relaxed);
+    // Prime the baselines before returning, so the first point spans one
+    // real interval: not the pre-start history, and not work that ran
+    // after start() but before a late-scheduled thread could prime.
+    sample_locked();
   }
   thread_ = std::thread([this] { loop(); });
 }
@@ -48,9 +52,6 @@ void TimeSeriesSampler::stop() {
 
 void TimeSeriesSampler::loop() {
   std::unique_lock<std::mutex> lock(mutex_);
-  // Prime the counter baseline so the first emitted point covers one real
-  // interval instead of the whole pre-start history.
-  sample_locked();
   while (!stop_requested_) {
     stop_cv_.wait_for(lock, std::chrono::milliseconds(config_.interval_ms));
     if (stop_requested_) break;
@@ -76,6 +77,8 @@ void TimeSeriesSampler::sample_locked() {
   };
   state.admissions = counter_of("service.admissions");
   state.rejections = counter_of("service.rejections");
+  detail::BucketCounts latency;
+  registry_.find_histogram("service.latency_ms").read(latency);
 
   if (primed_) {
     TimeSeriesPoint point;
@@ -88,9 +91,7 @@ void TimeSeriesSampler::sample_locked() {
     const auto gauge_it = snapshot.gauges.find("service.queue_depth");
     point.queue_depth =
         gauge_it == snapshot.gauges.end() ? 0.0 : gauge_it->second;
-    const auto hist_it = snapshot.histograms.find("service.latency_ms");
-    point.p99_latency_ms =
-        hist_it == snapshot.histograms.end() ? 0.0 : hist_it->second.p99;
+    point.p99_latency_ms = latency.since(last_latency_).percentile(99.0);
 
     while (ring_.size() >= config_.capacity && !ring_.empty()) {
       ring_.pop_front();
@@ -99,6 +100,7 @@ void TimeSeriesSampler::sample_locked() {
   }
 
   last_ = std::move(state);
+  last_latency_ = latency;
   last_t_ms_ = t_ms;
   primed_ = true;
 }
@@ -117,15 +119,18 @@ TimeSeriesPoint TimeSeriesSampler::window(std::size_t last_n) const {
   // uneven sampling intervals weight correctly.
   double span_ms = 0.0;
   double admissions = 0.0, rejections = 0.0;
+  double p99 = 0.0;
   for (std::size_t i = ring_.size() - n; i < ring_.size(); ++i) {
     const TimeSeriesPoint& p = ring_[i];
     span_ms += p.dt_ms;
     admissions += p.admissions_per_sec * p.dt_ms / 1000.0;
     rejections += p.rejections_per_sec * p.dt_ms / 1000.0;
+    p99 = std::max(p99, p.p99_latency_ms);
   }
 
-  TimeSeriesPoint out = ring_.back();  // queue depth / p99: newest
+  TimeSeriesPoint out = ring_.back();  // queue depth: newest
   out.dt_ms = span_ms;
+  out.p99_latency_ms = p99;
   if (span_ms > 0.0) {
     out.admissions_per_sec = admissions * 1000.0 / span_ms;
     out.rejections_per_sec = rejections * 1000.0 / span_ms;

@@ -10,10 +10,9 @@
 // registry):
 //   service.admissions / service.rejections -> windowed rates per second
 //   service.queue_depth                 -> instantaneous gauge
-//   service.latency_ms                  -> cumulative p99 (the sketch
-//                                          cannot be differenced; /healthz
-//                                          documents this as
-//                                          since-process-start p99)
+//   service.latency_ms                  -> windowed p99: the histogram's
+//                                          bucket counts differenced
+//                                          against the previous tick's
 #pragma once
 
 #include <atomic>
@@ -37,7 +36,7 @@ struct TimeSeriesPoint {
   double admissions_per_sec = 0.0;
   double rejections_per_sec = 0.0;
   double queue_depth = 0.0;     ///< gauge at sample time
-  double p99_latency_ms = 0.0;  ///< cumulative, since process start
+  double p99_latency_ms = 0.0;  ///< over the interval; 0 when it had none
 };
 
 struct TimeSeriesConfig {
@@ -67,7 +66,8 @@ class TimeSeriesSampler {
   std::vector<TimeSeriesPoint> series() const;
 
   /// Aggregate over the last `last_n` points (rate = total delta / total
-  /// time; queue depth and p99 from the newest point). Zeros when empty.
+  /// time; queue depth from the newest point; p99 the largest of the
+  /// points', an upper bound of the span's own p99). Zeros when empty.
   TimeSeriesPoint window(std::size_t last_n) const;
 
   /// {"interval_ms":...,"points":[{...},...]} — the /series payload.
@@ -91,6 +91,7 @@ class TimeSeriesSampler {
   mutable std::mutex mutex_;
   std::deque<TimeSeriesPoint> ring_;
   CounterState last_;
+  detail::BucketCounts last_latency_;
   double last_t_ms_ = 0.0;
   bool primed_ = false;  ///< first sample only primes the deltas
 

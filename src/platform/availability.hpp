@@ -1,29 +1,21 @@
 // Indexed availability — sublinear free-capacity queries over the platform.
 //
-// Every admission phase asks the same family of questions: "is there an
-// element of type t whose free capacity covers r?" (binding feasibility),
-// "which is the first such element?" (first-fit seeding), "how many are
-// there?" (Platform::count_available), "list them all" (candidate
-// enumeration for the mapping strategies). The seed answered each with a
-// linear scan over all V elements; at paper scale (25 elements) that is
-// free, at 10k elements those scans *are* the admission bill — the binding
-// phase alone performs O(tasks² · implementations) of them per admission.
+// The binding phase asks whether "the required resources are available
+// somewhere in the platform" (§I-A) and first-fits each implementation;
+// mapping then lists the elements that can host each task. A linear scan
+// over all V elements answers both, and at paper scale (25 elements) that
+// is free; at 10k elements those scans *are* the admission bill.
 //
-// AvailabilityIndex answers all of them from one structure: a per-type
-// segment tree over the type's member elements (in ascending element-id
-// order, so every query preserves the element-index-order semantics the
-// regression pins depend on). Each tree node holds the component-wise max
-// and min of its leaves' free vectors plus the count of non-failed leaves:
+// AvailabilityIndex answers both from one structure: a per-type segment
+// tree over the type's member elements (in ascending element-id order, so
+// every answer keeps the element-index order the regression pins depend
+// on). Each tree node holds the component-wise max of its leaves' free
+// vectors:
 //
-//   * covers(t, r)            — descend wherever r fits the node max; O(log V)
-//                               expected, pruned subtrees cannot contain a fit.
 //   * first_available(t, r)   — leftmost fitting leaf = exactly the first
 //                               element in id order a linear first-fit finds.
-//   * count_available(t, r)   — subtrees where r fits the node *min* are
-//                               counted wholesale via the non-failed count.
 //   * collect_available(...)  — in-order walk of fitting leaves, with
 //                               optional exclusion and limit.
-//   * total_free(t)           — maintained running sum (failed excluded).
 //
 // Failed elements keep their true free vector in the flat mirror but their
 // leaf is a -1 sentinel: no non-negative requirement fits, so every query
@@ -32,20 +24,17 @@
 //
 // The index plays two roles:
 //
-//   * Platform-owned: maintained incrementally (O(log V)) by allocate /
-//     release / set_element_failed. It is built lazily, and ONLY from
-//     non-const contexts (Platform::ensure_availability or a mutator) —
-//     const queries under the service's shared lock fall back to the linear
-//     scan rather than building, so readers never write shared state.
-//     restore() and clear_allocations() invalidate; the next ensure rebuilds.
+//   * Platform-owned: valid from construction and always current.
+//     add_element grows it; allocate / release / set_element_failed and the
+//     leaves a restore() or clear_allocations() changes are refreshed in
+//     O(log V) each.
 //   * Scratch: planning code (binding pool, SA/tabu free-state) needs a
 //     *hypothetical* availability the platform must not see. ScratchAvailability
-//     pools index instances thread-locally and rebuilds them from the live
-//     platform per admission.
+//     leases a pooled index thread-locally and copies the platform's into it.
 //
-// In debug builds Platform cross-checks the incremental index against a
-// linear recount every few mutations (consistent_with); the churn property
-// test does the same in release builds.
+// In debug builds Platform cross-checks its index against a fresh build
+// (consistent_with) every few mutations; the churn property test does the
+// same in release builds.
 #pragma once
 
 #include <array>
@@ -60,10 +49,8 @@ namespace kairos::platform {
 
 class Platform;
 
-/// Static per-type member lists (element ids, ascending) — pure topology,
-/// shared across platform copies like the hop cache. Consumers that only
-/// need "all elements of type t, in id order" (optimal search, simple_map)
-/// iterate these directly and keep their own per-element checks.
+/// Per-type member lists (element ids, ascending) — pure topology. Copies of
+/// an index share one instance; add_element clones it first if it is shared.
 struct TypeMembers {
   std::array<std::vector<ElementId>, kElementTypeCount> of;
 };
@@ -72,26 +59,28 @@ class AvailabilityIndex {
  public:
   AvailabilityIndex() = default;
 
-  /// (Re)builds from the platform's current free/failed state. O(V).
-  /// Reuses previously-allocated buffers, so pooled instances rebuild
-  /// without touching the heap once warm.
-  void rebuild(const Platform& platform);
-
-  bool built() const { return built_; }
-  void invalidate() { built_ = false; }
+  /// Appends element `e`, which must be the next id, with free capacity
+  /// `free`. Its leaf takes a padding slot of its type's tree; the tree is
+  /// laid out afresh (at double the size) only when it is full, so growing
+  /// to V elements costs amortised O(V).
+  void add_element(ElementId e, ElementType type, const ResourceVector& free);
 
   // --- incremental maintenance (all O(log V)) ------------------------------
 
-  /// Mirrors Platform::allocate / release: demand leaves (enters) e's free.
-  void on_allocate(ElementId e, const ResourceVector& demand);
-  void on_release(ElementId e, const ResourceVector& demand);
+  /// Overwrites e's free vector: every allocate, release, restore and
+  /// clear, and every hypothetical claim on a scratch copy, goes through it.
+  void set_free(ElementId e, const ResourceVector& free);
 
   /// Mirrors Platform::set_element_failed: swaps the leaf between its real
-  /// free vector and the nothing-fits sentinel, and moves the element's
-  /// free capacity out of (into) the per-type running sum.
+  /// free vector and the nothing-fits sentinel.
   void on_failed(ElementId e, bool failed);
 
   // --- queries (exact; element-id order) -----------------------------------
+
+  /// Ids of all elements of `type`, ascending.
+  const std::vector<ElementId>& members(ElementType type) const {
+    return members_->of[static_cast<std::size_t>(type)];
+  }
 
   /// The element's true free vector (tracked even while failed).
   const ResourceVector& free(ElementId e) const {
@@ -102,15 +91,9 @@ class AvailabilityIndex {
     return failed_[static_cast<std::size_t>(e.value)] != 0;
   }
 
-  /// True iff some non-failed element of `type` covers `demand`.
-  bool covers(ElementType type, const ResourceVector& demand) const;
-
   /// The lowest-id non-failed element of `type` covering `demand`; invalid
   /// id when none — bit-identical to a linear first-fit scan.
   ElementId first_available(ElementType type, const ResourceVector& demand) const;
-
-  /// Number of non-failed elements of `type` covering `demand`.
-  int count_available(ElementType type, const ResourceVector& demand) const;
 
   /// Appends the non-failed elements of `type` covering `demand`, in id
   /// order, skipping `exclude` (pass an invalid id to skip nothing), until
@@ -119,46 +102,38 @@ class AvailabilityIndex {
                          ElementId exclude, std::size_t limit,
                          std::vector<ElementId>& out) const;
 
-  /// Aggregate free over non-failed elements of `type` (maintained sum).
-  const ResourceVector& total_free(ElementType type) const {
-    return sums_[static_cast<std::size_t>(type)];
-  }
-
-  /// Linear recount ground truth — true iff every derived quantity (flat
-  /// mirrors, tree nodes, sums) matches a fresh build from `platform`.
+  /// Linear recount ground truth — true iff the member lists, flat mirrors
+  /// and tree nodes all match a fresh build from `platform`'s elements.
   bool consistent_with(const Platform& platform) const;
 
  private:
   // One segment tree per element type over that type's members (id order).
   // Leaves live at [base, base + members); `base` is the padded power of
-  // two. Padding leaves are "absorbing": max = -1 (nothing fits), min =
-  // +inf (never shortcuts a count), avail = 0.
+  // two. Padding leaves (and node 0, which is unused) hold the nothing-fits
+  // sentinel.
   struct Tree {
     std::size_t base = 0;
     std::vector<ResourceVector> maxv;
-    std::vector<ResourceVector> minv;
-    std::vector<std::int32_t> avail;
   };
 
+  /// Re-derives type `type_index`'s whole tree from the flat mirrors.
+  void lay_out(std::size_t type_index);
   void refresh_leaf(ElementId e);
-  ElementId leaf_element(const Tree& tree, std::size_t type_index,
-                         std::size_t node) const;
 
-  std::shared_ptr<const TypeMembers> members_;
+  std::shared_ptr<TypeMembers> members_ = std::make_shared<TypeMembers>();
   std::array<Tree, kElementTypeCount> trees_;
-  std::array<ResourceVector, kElementTypeCount> sums_;
   std::vector<ResourceVector> free_;  // exact free per element, failed or not
   std::vector<std::uint8_t> failed_;
   std::vector<std::int32_t> slot_;  // member slot within the type's tree
   std::vector<std::uint8_t> type_;  // element type, as index
-  bool built_ = false;
 };
 
-/// RAII lease of a pooled AvailabilityIndex rebuilt from `platform` — the
-/// scratch role above. Instances are recycled through a thread-local
-/// freelist, so per-admission planning reuses warm buffers instead of
-/// allocating O(V) state each time. Thread-local by construction: never
-/// shared across threads, invisible to TSan.
+/// RAII lease of a pooled AvailabilityIndex holding a copy of `platform`'s
+/// — the scratch role above. Instances are recycled through a thread-local
+/// freelist, so the copy reuses warm buffers instead of allocating O(V)
+/// state per admission, and the member lists are shared, not copied.
+/// Thread-local by construction: never shared across threads, invisible to
+/// TSan.
 class ScratchAvailability {
  public:
   explicit ScratchAvailability(const Platform& platform);

@@ -36,8 +36,7 @@ ElementId Platform::add_element(ElementType type, std::string name,
   adjacency.neighbors.emplace_back();
   search_serial_ = fresh_search_serial();
   hop_cache_.store(nullptr);
-  type_members_.store(nullptr);
-  availability_.invalidate();
+  availability_.add_element(id, type, capacity);
   return id;
 }
 
@@ -107,29 +106,12 @@ int Platform::diameter() const {
   return hop_cache()->diameter(*this);
 }
 
-std::shared_ptr<const TypeMembers> Platform::type_members() const {
-  return type_members_.ensure([&] {
-    auto members = std::make_shared<TypeMembers>();
-    for (const auto& e : elements_) {
-      members->of[static_cast<std::size_t>(e.type())].push_back(e.id());
-    }
-    return members;
-  });
-}
-
-const std::vector<ElementId>& Platform::elements_of_type(
-    ElementType type) const {
-  return type_members()->of[static_cast<std::size_t>(type)];
-}
-
 bool Platform::allocate(ElementId e, const ResourceVector& demand) {
   Element& el = elements_.at(index(e));
   if (!demand.fits_within(el.free())) return false;
   el.used_ += demand;
-  if (availability_.built()) {
-    availability_.on_allocate(e, demand);
-    audit_availability();
-  }
+  availability_.set_free(e, el.free());
+  audit_availability();
   return true;
 }
 
@@ -137,10 +119,8 @@ void Platform::release(ElementId e, const ResourceVector& demand) {
   Element& el = elements_.at(index(e));
   el.used_ -= demand;
   assert(!el.used_.any_negative() && "released more than was allocated");
-  if (availability_.built()) {
-    availability_.on_release(e, demand);
-    audit_availability();
-  }
+  availability_.set_free(e, el.free());
+  audit_availability();
 }
 
 void Platform::add_task(ElementId e) {
@@ -155,33 +135,8 @@ void Platform::remove_task(ElementId e) {
   assert(el.task_count_ >= 0 && "removed more tasks than were added");
 }
 
-ResourceVector Platform::total_free(ElementType type) const {
-  if (availability_.built()) return availability_.total_free(type);
-  ResourceVector total;
-  for (const auto& e : elements_) {
-    if (e.type() == type && !e.is_failed()) total += e.free();
-  }
-  return total;
-}
-
-int Platform::count_available(ElementType type,
-                              const ResourceVector& demand) const {
-  if (availability_.built()) return availability_.count_available(type, demand);
-  int count = 0;
-  for (const auto& e : elements_) {
-    if (e.type() == type && !e.is_failed() && demand.fits_within(e.free())) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-void Platform::ensure_availability() {
-  if (!availability_.built()) availability_.rebuild(*this);
-}
-
 bool Platform::availability_consistent() const {
-  return !availability_.built() || availability_.consistent_with(*this);
+  return availability_.consistent_with(*this);
 }
 
 void Platform::audit_availability() {
@@ -193,13 +148,17 @@ void Platform::audit_availability() {
 #endif
 }
 
+void Platform::set_used(Element& el, const ResourceVector& used) {
+  if (el.used_ == used) return;
+  el.used_ = used;
+  availability_.set_free(el.id(), el.free());
+}
+
 void Platform::set_element_failed(ElementId e, bool failed) {
   elements_.at(index(e)).failed_ = failed;
   search_serial_ = fresh_search_serial();
-  if (availability_.built()) {
-    availability_.on_failed(e, failed);
-    audit_availability();
-  }
+  availability_.on_failed(e, failed);
+  audit_availability();
 }
 
 void Platform::set_link_failed(LinkId l, bool failed) {
@@ -259,7 +218,7 @@ void Platform::snapshot_into(Snapshot& snap, SnapshotScope scope) const {
 void Platform::restore(const Snapshot& snap, SnapshotScope scope) {
   assert(snap.elements.size() == elements_.size());
   for (std::size_t i = 0; i < elements_.size(); ++i) {
-    elements_[i].used_ = snap.elements[i].used;
+    set_used(elements_[i], snap.elements[i].used);
     elements_[i].task_count_ = snap.elements[i].task_count;
     elements_[i].wear_ = snap.elements[i].wear;
   }
@@ -270,20 +229,19 @@ void Platform::restore(const Snapshot& snap, SnapshotScope scope) {
       links_[i].bw_used_ = snap.links[i].bw_used;
     }
   }
-  // Bulk overwrite — cheaper to rebuild lazily than to diff.
-  availability_.invalidate();
+  audit_availability();
 }
 
 void Platform::clear_allocations() {
   for (auto& e : elements_) {
-    e.used_ = ResourceVector{};
+    set_used(e, ResourceVector{});
     e.task_count_ = 0;
   }
   for (auto& l : links_) {
     l.vc_used_ = 0;
     l.bw_used_ = 0;
   }
-  availability_.invalidate();
+  audit_availability();
 }
 
 namespace {

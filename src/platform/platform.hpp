@@ -187,9 +187,10 @@ class Platform {
   /// Cached (iFUB, exact); invalidated only by topology edits.
   int diameter() const;
 
-  /// Ids of all elements of `type`, ascending — shared static member lists.
-  const std::vector<ElementId>& elements_of_type(ElementType type) const;
-  std::shared_ptr<const TypeMembers> type_members() const;
+  /// Ids of all elements of `type`, ascending.
+  const std::vector<ElementId>& elements_of_type(ElementType type) const {
+    return availability_.members(type);
+  }
 
   // --- element allocation state --------------------------------------------
 
@@ -206,31 +207,17 @@ class Platform {
   void add_task(ElementId e);
   void remove_task(ElementId e);
 
-  /// Aggregate free resources over all elements of a given type — the
-  /// availability test the binding phase performs ("the required resources
-  /// must be available somewhere in the platform", §I-A).
-  ResourceVector total_free(ElementType type) const;
-
-  /// Number of elements of a type whose free capacity covers `demand`.
-  int count_available(ElementType type, const ResourceVector& demand) const;
-
   // --- availability index ----------------------------------------------------
 
-  /// Builds the incremental availability index if absent (O(V)); afterwards
-  /// allocate/release/set_element_failed maintain it in O(log V) and
-  /// total_free/count_available answer from it. Non-const by design: const
-  /// queries under a shared lock must never build shared state, they fall
-  /// back to the linear scan instead. Call from exclusive contexts (the
-  /// admission path) before heavy candidate enumeration.
-  void ensure_availability();
-
-  bool availability_ready() const { return availability_.built(); }
-
-  /// The platform-owned index; only valid when availability_ready().
+  /// The platform-owned index of every element's free capacity and fault
+  /// state. It is valid from construction: add_element grows it, and every
+  /// change of an element's free capacity or fault state (allocate, release,
+  /// set_element_failed, restore, clear_allocations) refreshes the leaves it
+  /// touches in O(log V) each.
   const AvailabilityIndex& availability() const { return availability_; }
 
-  /// True iff the incremental index (when built) matches a linear recount.
-  /// Trivially true when the index is not built. For tests and audits.
+  /// True iff the index matches a fresh build from the elements (the linear
+  /// recount). For tests and audits.
   bool availability_consistent() const;
 
   // --- link allocation state ------------------------------------------------
@@ -244,8 +231,8 @@ class Platform {
 
   // --- fault injection --------------------------------------------------------
 
-  /// Marks an element (un)failed. Failed elements are skipped by
-  /// total_free/count_available and must be excluded from av(e,t) by the
+  /// Marks an element (un)failed. Failed elements are skipped by the
+  /// availability index's queries and must be excluded from av(e,t) by the
   /// allocation phases. Existing allocations are left in place — the caller
   /// (e.g. core::ResourceManager::apps_using) decides what to do with
   /// applications that were running there.
@@ -288,6 +275,10 @@ class Platform {
   /// incremental state equals a linear recount.
   void audit_availability();
 
+  /// Sets an element's used capacity, refreshing its index leaf when the
+  /// value changes.
+  void set_used(Element& el, const ResourceVector& used);
+
   std::size_t index(ElementId id) const {
     return static_cast<std::size_t>(id.value);
   }
@@ -312,11 +303,11 @@ class Platform {
   std::vector<Link> links_;
   std::shared_ptr<const Adjacency> adjacency_ = std::make_shared<Adjacency>();
   std::uint64_t search_serial_ = 0;
-  // Shared lazily-built topology caches (see hop_cache.hpp); copies of the
-  // platform share the pointees, topology edits drop the pointers.
+  // Shared lazily-built hop-distance cache (see hop_cache.hpp); copies of
+  // the platform share the pointee, topology edits drop the pointer.
   mutable detail::AtomicSharedPtr<HopCache> hop_cache_;
-  mutable detail::AtomicSharedPtr<const TypeMembers> type_members_;
-  // Incremental availability index — per-copy (it tracks allocation state).
+  // Availability index — per-copy (it tracks allocation state); its member
+  // lists are shared between copies.
   AvailabilityIndex availability_;
 #ifndef NDEBUG
   unsigned availability_audit_ = 0;

@@ -11,6 +11,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "platform/fragmentation.hpp"
+#include "util/strings.hpp"
 
 namespace kairos::service {
 
@@ -177,19 +178,29 @@ CommandSession::Status CommandSession::handle_line(
   }
 
   if (command == "gen") {
-    long count = 0;
-    long gen_seed = 71;
-    words >> count;
-    words >> gen_seed;
-    if (count <= 0) {
-      out.push_back("error gen requires a positive count");
+    std::string count_word, seed_word, extra_word;
+    words >> count_word >> seed_word >> extra_word;
+    std::uint64_t count = 0;
+    std::uint64_t gen_seed = 71;
+    std::string error;
+    if (!util::parse_unsigned(count_word, count) || count == 0 ||
+        count > kMaxGenCount) {
+      error = format("error gen requires a count in 1..%llu",
+                     static_cast<unsigned long long>(kMaxGenCount));
+    } else if (!seed_word.empty() &&
+               !util::parse_unsigned(seed_word, gen_seed)) {
+      error = "error gen seed must be a whole unsigned decimal";
+    } else if (!extra_word.empty()) {
+      error = "error gen takes a count and an optional seed";
+    }
+    if (!error.empty()) {
+      out.push_back(std::move(error));
       out.push_back("done");
       return Status::kReady;
     }
     return start_batch(
         gen::make_dataset(gen::DatasetKind::kCommunicationSmall,
-                          static_cast<int>(count),
-                          static_cast<unsigned>(gen_seed)),
+                          static_cast<int>(count), gen_seed),
         out);
   }
 

@@ -59,6 +59,10 @@ std::string service_stats_json(const core::ResourceManager& manager,
 
 class CommandSession {
  public:
+  /// The most applications one `gen` line may generate: the whole batch is
+  /// built in memory before its first admission.
+  static constexpr std::uint64_t kMaxGenCount = 10000;
+
   enum class Status {
     kReady,    ///< all replies for the line were emitted
     kPending,  ///< futures parked; pump poll()/finish() for the rest

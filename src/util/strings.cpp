@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 
 namespace kairos::util {
 
@@ -47,6 +48,21 @@ std::string join(const std::vector<std::string>& items,
     out += items[i];
   }
   return out;
+}
+
+bool parse_unsigned(std::string_view text, std::uint64_t& out) {
+  if (text.empty()) return false;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
+  }
+  out = value;
+  return true;
 }
 
 bool parse_int(std::string_view text, long& out) {

@@ -1,13 +1,16 @@
 // Property tests for the incremental availability index: under randomized
-// allocate/release/fault/repair churn — including transaction rollbacks that
-// force invalidation and rebuilds — every query the index answers must match
-// a linear recount over the element array (the seed implementation the index
-// replaced), and Platform::availability_consistent() must hold throughout.
+// allocate/release/fault/repair churn — including transaction rollbacks,
+// growth by add_element and clear_allocations — every query the index
+// answers must match a linear scan over the element array (the seed
+// implementation the index replaced), and Platform::availability_consistent()
+// must hold throughout.
 // A second suite drives the same invariant through the resource manager's
 // heavier flows: correlated fault circumvention and defragmentation.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,20 +29,15 @@ using platform::ResourceVector;
 
 // --- linear ground truth (the pre-index implementations) --------------------
 
-int linear_count(const Platform& p, ElementType t, const ResourceVector& d) {
-  int n = 0;
+std::vector<ElementId> linear_collect(const Platform& p, ElementType t,
+                                      const ResourceVector& d) {
+  std::vector<ElementId> out;
   for (const auto& e : p.elements()) {
-    if (!e.is_failed() && e.type() == t && d.fits_within(e.free())) ++n;
+    if (!e.is_failed() && e.type() == t && d.fits_within(e.free())) {
+      out.push_back(e.id());
+    }
   }
-  return n;
-}
-
-ResourceVector linear_total_free(const Platform& p, ElementType t) {
-  ResourceVector sum;
-  for (const auto& e : p.elements()) {
-    if (!e.is_failed() && e.type() == t) sum += e.free();
-  }
-  return sum;
+  return out;
 }
 
 ElementId linear_first(const Platform& p, ElementType t,
@@ -72,18 +70,17 @@ void expect_queries_match(const Platform& p, util::Xoshiro256& rng) {
   for (const ElementType t : kTypes) {
     const ResourceVector demand(rng.uniform_int(0, 1200),
                                 rng.uniform_int(0, 600), 0, 0);
-    ASSERT_EQ(p.count_available(t, demand), linear_count(p, t, demand));
-    ASSERT_EQ(p.total_free(t), linear_total_free(p, t));
-    if (p.availability_ready()) {
-      ASSERT_EQ(p.availability().first_available(t, demand),
-                linear_first(p, t, demand));
-    }
+    ASSERT_EQ(p.availability().first_available(t, demand),
+              linear_first(p, t, demand));
+    std::vector<ElementId> all;
+    p.availability().collect_available(
+        t, demand, ElementId{}, std::numeric_limits<std::size_t>::max(), all);
+    ASSERT_EQ(all, linear_collect(p, t, demand));
   }
 }
 
 TEST(AvailabilityPropertyTest, RandomChurnMatchesLinearRecount) {
   Platform p = mixed_platform();
-  p.ensure_availability();
   util::Xoshiro256 rng(0xC0FFEE);
 
   const auto n = static_cast<std::int64_t>(p.element_count());
@@ -110,8 +107,8 @@ TEST(AvailabilityPropertyTest, RandomChurnMatchesLinearRecount) {
     } else if (op < 90) {
       p.set_element_failed(e, false);
     } else if (op < 96) {
-      // A rolled-back transaction bulk-restores element state, which
-      // invalidates the index; the next ensure must rebuild it correctly.
+      // A rolled-back transaction restores element state; the index must
+      // be current again the moment the transaction closes.
       {
         platform::Transaction txn(p);
         for (int k = 0; k < 4; ++k) {
@@ -120,8 +117,7 @@ TEST(AvailabilityPropertyTest, RandomChurnMatchesLinearRecount) {
           (void)p.allocate(t, ResourceVector(100, 10, 0, 0));
         }
       }
-      ASSERT_TRUE(p.availability_consistent());
-      p.ensure_availability();
+      ASSERT_TRUE(p.availability_consistent()) << "iteration " << iter;
     } else {
       expect_queries_match(p, rng);
     }
@@ -137,6 +133,44 @@ TEST(AvailabilityPropertyTest, RandomChurnMatchesLinearRecount) {
   ASSERT_TRUE(p.availability_consistent());
   util::Xoshiro256 check_rng(0xFEED);
   expect_queries_match(p, check_rng);
+}
+
+TEST(AvailabilityPropertyTest, GrowsAndClearsInPlaceUnderAllocations) {
+  Platform p = mixed_platform();
+  util::Xoshiro256 rng(0xADD);
+  constexpr ElementType kTypes[] = {ElementType::kDsp, ElementType::kArm,
+                                    ElementType::kMemory};
+
+  // Elements join a platform that already carries allocations and faults;
+  // each type's tree fills its padding and then outgrows its power of two.
+  for (int i = 0; i < 80; ++i) {
+    const auto n = static_cast<std::int64_t>(p.element_count());
+    const ElementId e{static_cast<std::int32_t>(rng.uniform_int(0, n - 1))};
+    (void)p.allocate(e, ResourceVector(rng.uniform_int(1, 500), 0, 0, 0));
+    if (i % 7 == 0) p.set_element_failed(e, true);
+    const ElementId added =
+        p.add_element(kTypes[rng.uniform_int(0, 2)], "n" + std::to_string(i),
+                      ResourceVector(900 + 50 * (i % 7), 512, 64, 8));
+    if (i % 5 == 0) {
+      ASSERT_TRUE(p.allocate(added, ResourceVector(100, 10, 0, 0)));
+    }
+    ASSERT_TRUE(p.availability_consistent()) << "after adding " << i;
+    expect_queries_match(p, rng);
+  }
+
+  // A copy shares the member lists; growing it must leave the original's
+  // lists alone.
+  Platform copy = p;
+  copy.add_element(ElementType::kDsp, "copy-only",
+                   ResourceVector(1000, 512, 64, 8));
+  ASSERT_TRUE(copy.availability_consistent());
+  ASSERT_TRUE(p.availability_consistent());
+  ASSERT_EQ(copy.elements_of_type(ElementType::kDsp).size(),
+            p.elements_of_type(ElementType::kDsp).size() + 1);
+
+  p.clear_allocations();
+  ASSERT_TRUE(p.availability_consistent());
+  expect_queries_match(p, rng);
 }
 
 // --- churn through the resource manager's heavy flows ------------------------
@@ -184,8 +218,8 @@ TEST(AvailabilityPropertyTest, ConsistentThroughFaultSetAndDefragChurn) {
       handles.erase(std::find(handles.begin(), handles.end(), lost));
     }
     ASSERT_TRUE(p.availability_consistent()) << "after fault, round " << round;
-    ASSERT_EQ(p.count_available(ElementType::kDsp, ResourceVector(1, 0, 0, 0)),
-              linear_count(p, ElementType::kDsp, ResourceVector(1, 0, 0, 0)));
+    util::Xoshiro256 query_rng(static_cast<std::uint64_t>(round));
+    expect_queries_match(p, query_rng);
 
     kairos.repair_element(f0);
     kairos.repair_element(f1);

@@ -1,6 +1,6 @@
 // Property test for the binding phase's class-memoised feasibility: on
 // random applications and platforms, BindingPhase::bind() must decide
-// exactly what a copy of the regret loop that probes covers() for every
+// exactly what a copy of the regret loop that scans the platform for every
 // (task, implementation) in every round decides — the same success, the
 // same implementation per task, a bit-equal total cost and, on failure, the
 // same failed task and reason.
@@ -54,7 +54,14 @@ BindingResult reference_bind(const Platform& platform, const Application& app,
       return element.type() == impl.target && !element.is_failed() &&
              impl.requirement.fits_within(avail->free(*pins[idx]));
     }
-    return avail->covers(impl.target, impl.requirement);
+    // A linear scan, independent of the index's tree walks.
+    for (const auto& element : platform.elements()) {
+      if (element.type() == impl.target && !element.is_failed() &&
+          impl.requirement.fits_within(avail->free(element.id()))) {
+        return true;
+      }
+    }
+    return false;
   };
 
   while (remaining > 0) {
@@ -104,12 +111,11 @@ BindingResult reference_bind(const Platform& platform, const Application& app,
         app.task(pick).implementations()[static_cast<std::size_t>(pick_impl)];
     result.impl_of[pick_idx] = pick_impl;
     result.total_cost += impl.cost;
-    if (pins[pick_idx].has_value()) {
-      avail->on_allocate(*pins[pick_idx], impl.requirement);
-    } else {
-      avail->on_allocate(avail->first_available(impl.target, impl.requirement),
-                         impl.requirement);
-    }
+    const ElementId host =
+        pins[pick_idx].has_value()
+            ? *pins[pick_idx]
+            : avail->first_available(impl.target, impl.requirement);
+    avail->set_free(host, avail->free(host) - impl.requirement);
     bound[pick_idx] = true;
     --remaining;
   }

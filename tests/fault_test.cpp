@@ -3,6 +3,10 @@
 // flow the paper's introduction motivates.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "core/resource_manager.hpp"
 #include "noc/router.hpp"
 #include "platform/builders.hpp"
@@ -16,6 +20,15 @@ using platform::ElementType;
 using platform::LinkId;
 using platform::Platform;
 using platform::ResourceVector;
+
+/// The non-failed DSPs with `compute` free, from the platform's index.
+std::vector<ElementId> available_dsps(const Platform& p, std::int64_t compute) {
+  std::vector<ElementId> out;
+  p.availability().collect_available(
+      ElementType::kDsp, ResourceVector(compute, 0, 0, 0), ElementId{},
+      std::numeric_limits<std::size_t>::max(), out);
+  return out;
+}
 
 graph::Application dsp_pair_app(std::int64_t compute = 600) {
   graph::Application app("pair");
@@ -36,15 +49,11 @@ TEST(FaultTest, FailedElementsAreExcludedFromAvailability) {
   platform::BuilderConfig cfg;
   cfg.element_type = ElementType::kDsp;
   Platform p = platform::make_mesh(2, 2, cfg);
-  EXPECT_EQ(p.count_available(ElementType::kDsp,
-                              ResourceVector(100, 0, 0, 0)),
-            4);
+  EXPECT_EQ(available_dsps(p, 100).size(), 4u);
   p.set_element_failed(ElementId{0}, true);
   p.set_element_failed(ElementId{1}, true);
-  EXPECT_EQ(p.count_available(ElementType::kDsp,
-                              ResourceVector(100, 0, 0, 0)),
-            2);
-  EXPECT_EQ(p.total_free(ElementType::kDsp).compute(), 2000);
+  EXPECT_EQ(available_dsps(p, 100),
+            (std::vector<ElementId>{ElementId{2}, ElementId{3}}));
   EXPECT_EQ(p.failed_element_count(), 2);
   p.set_element_failed(ElementId{0}, false);
   EXPECT_EQ(p.failed_element_count(), 1);
@@ -252,15 +261,12 @@ TEST(FaultCircumventionTest, RepairedElementBecomesAllocatableAgain) {
 
   const auto faulted = kairos.circumvent_fault(ElementId{0});
   EXPECT_EQ(faulted.victims, 0);  // nothing was running there
-  EXPECT_EQ(p.count_available(ElementType::kDsp,
-                              ResourceVector(100, 0, 0, 0)),
-            3);
+  EXPECT_EQ(available_dsps(p, 100),
+            (std::vector<ElementId>{ElementId{1}, ElementId{2}, ElementId{3}}));
 
   kairos.repair_element(ElementId{0});
   EXPECT_FALSE(p.element(ElementId{0}).is_failed());
-  EXPECT_EQ(p.count_available(ElementType::kDsp,
-                              ResourceVector(100, 0, 0, 0)),
-            4);
+  EXPECT_EQ(available_dsps(p, 100).size(), 4u);
 
   // The repaired element can actually host work again: fail the other
   // three, leaving it as the only DSP pair candidate... (a pair needs two

@@ -2,8 +2,13 @@
 // framing (HTTP-lite and line protocol on one listener), the busy/on_tick
 // slow-work contract, and Unix-domain listeners.
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <string>
 
@@ -67,6 +72,8 @@ class EchoHandler : public Server::Handler {
     }
     if (request.target == "/hello") {
       response.body = "hello\n";
+    } else if (request.target == "/healthz") {
+      response.body = "ok\n";
     } else {
       response.status = 404;
       response.body = "not found\n";
@@ -225,6 +232,90 @@ TEST(ServerTest, QuitClosesAfterReplyIsWritten) {
   EXPECT_EQ(reply.value(), "echo quit");
   // Peer closes after the reply: the next read reports closed, not a hang.
   EXPECT_FALSE(client.read_line(2000).ok());
+
+  server.stop();
+}
+
+/// What a raw client saw after sending `bytes` to a TCP port: the reply
+/// bytes, and whether the server closed the connection (EOF or reset)
+/// rather than leaving it open until the 3 s receive timeout.
+struct RawOutcome {
+  std::string reply;
+  bool closed = false;
+};
+
+RawOutcome send_raw(int port, const std::string& bytes) {
+  RawOutcome outcome;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const timeval timeout{3, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in sin{};
+  sin.sin_family = AF_INET;
+  sin.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &sin.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sin), sizeof(sin)), 0);
+
+  // Stops at the first failed send: a server that closed on us resets.
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  for (;;) {
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      outcome.reply.append(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    outcome.closed = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    break;
+  }
+  ::close(fd);
+  return outcome;
+}
+
+TEST(ServerTest, EndlessLineIsCutOffAndOthersStillServed) {
+  EchoHandler handler;
+  Server server(handler);
+  ASSERT_TRUE(server.listen(parse_address("127.0.0.1:0").value()).ok());
+  server.start();
+
+  // 1 MiB without a newline: the server stops buffering at its cap and
+  // closes the connection, replying first if the reply outruns the reset.
+  const RawOutcome flood =
+      send_raw(server.bound_port(), std::string(1 << 20, 'x'));
+  EXPECT_TRUE(flood.closed);
+  if (!flood.reply.empty()) {
+    EXPECT_EQ(flood.reply, "error line too long\n");
+  }
+
+  Address address;
+  address.port = server.bound_port();
+  auto health = http_get(address, "/healthz");
+  ASSERT_TRUE(health.ok()) << health.error();
+  EXPECT_EQ(health.value().status, 200);
+  EXPECT_EQ(health.value().body, "ok\n");
+
+  server.stop();
+}
+
+TEST(ServerTest, EndlessHttpHeadIsAnswered431) {
+  EchoHandler handler;
+  Server server(handler);
+  ASSERT_TRUE(server.listen(parse_address("127.0.0.1:0").value()).ok());
+  server.start();
+
+  const RawOutcome outcome = send_raw(
+      server.bound_port(),
+      "GET /hello HTTP/1.1\r\nX-Pad: " +
+          std::string(Server::kMaxInputBytes, 'a'));
+  EXPECT_TRUE(outcome.closed);
+  EXPECT_EQ(outcome.reply.rfind("HTTP/1.0 431 ", 0), 0u) << outcome.reply;
 
   server.stop();
 }

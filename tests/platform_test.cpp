@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "platform/builders.hpp"
 #include "platform/crisp.hpp"
@@ -146,20 +148,34 @@ TEST(PlatformAllocTest, TaskCountsDriveIsUsed) {
   EXPECT_FALSE(p.element(e).is_used());
 }
 
-TEST(PlatformAllocTest, TotalFreeAndCountAvailable) {
+/// The elements of `type` covering `demand`, from the platform's index.
+std::vector<ElementId> available(const Platform& p, ElementType type,
+                                 const ResourceVector& demand) {
+  std::vector<ElementId> out;
+  p.availability().collect_available(
+      type, demand, ElementId{}, std::numeric_limits<std::size_t>::max(), out);
+  return out;
+}
+
+TEST(PlatformAllocTest, AllocationRemovesAnElementFromTheAvailableList) {
   Platform p;
   const ElementId a =
       p.add_element(ElementType::kDsp, "a", ResourceVector(100, 100, 1, 1));
-  p.add_element(ElementType::kDsp, "b", ResourceVector(100, 100, 1, 1));
-  p.add_element(ElementType::kArm, "c", ResourceVector(500, 100, 1, 1));
-  EXPECT_EQ(p.total_free(ElementType::kDsp).compute(), 200);
-  EXPECT_EQ(p.count_available(ElementType::kDsp, ResourceVector(80, 0, 0, 0)),
-            2);
+  const ElementId b =
+      p.add_element(ElementType::kDsp, "b", ResourceVector(100, 100, 1, 1));
+  const ElementId c =
+      p.add_element(ElementType::kArm, "c", ResourceVector(500, 100, 1, 1));
+  const ResourceVector demand(80, 0, 0, 0);
+  EXPECT_EQ(available(p, ElementType::kDsp, demand),
+            (std::vector<ElementId>{a, b}));
   ASSERT_TRUE(p.allocate(a, ResourceVector(50, 0, 0, 0)));
-  EXPECT_EQ(p.count_available(ElementType::kDsp, ResourceVector(80, 0, 0, 0)),
-            1);
-  EXPECT_EQ(p.count_available(ElementType::kArm, ResourceVector(400, 0, 0, 0)),
-            1);
+  EXPECT_EQ(available(p, ElementType::kDsp, demand),
+            (std::vector<ElementId>{b}));
+  EXPECT_EQ(available(p, ElementType::kArm, ResourceVector(400, 0, 0, 0)),
+            (std::vector<ElementId>{c}));
+  p.release(a, ResourceVector(50, 0, 0, 0));
+  EXPECT_EQ(available(p, ElementType::kDsp, demand),
+            (std::vector<ElementId>{a, b}));
 }
 
 TEST(PlatformAllocTest, ChannelAllocation) {

@@ -152,6 +152,43 @@ TEST(CommandSessionTest, ErrorsAndQuit) {
   EXPECT_EQ(out[0], "bye");
 }
 
+/// Sends one line that must be refused: an error, then done, and nothing
+/// submitted.
+void expect_gen_refused(const std::string& line) {
+  Fixture fixture;
+  CommandSession session(fixture.manager, fixture.service);
+  std::vector<std::string> out;
+  EXPECT_EQ(session.handle_line(line, out), CommandSession::Status::kReady)
+      << line;
+  ASSERT_EQ(out.size(), 2u) << line;
+  EXPECT_TRUE(starts_with(out[0], "error gen")) << line << ": " << out[0];
+  EXPECT_EQ(out[1], "done") << line;
+  EXPECT_FALSE(session.pending()) << line;
+  EXPECT_EQ(fixture.manager.live_count(), 0u) << line;
+}
+
+TEST(CommandSessionTest, GenRefusesACountWithASuffix) {
+  expect_gen_refused("gen 5x");
+}
+
+TEST(CommandSessionTest, GenRefusesASeedThatIsNotANumber) {
+  expect_gen_refused("gen 5 abc");
+}
+
+TEST(CommandSessionTest, GenRefusesACountThatWouldWrap) {
+  expect_gen_refused("gen 4294967297");
+}
+
+TEST(CommandSessionTest, GenRefusesACountAboveTheCap) {
+  expect_gen_refused("gen 100000000");
+  expect_gen_refused("gen " + std::to_string(CommandSession::kMaxGenCount + 1));
+}
+
+TEST(CommandSessionTest, GenRefusesExtraTokens) {
+  expect_gen_refused("gen 2 3 4");
+  expect_gen_refused("gen -2");
+}
+
 TEST(CommandSessionTest, StatsJsonDocumentHasTheServiceShape) {
   Fixture fixture;
   const std::string json =

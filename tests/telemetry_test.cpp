@@ -3,10 +3,12 @@
 // the health model, and the TelemetryServer endpoints over a real socket.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/net.hpp"
 #include "net/server.hpp"
@@ -80,6 +82,35 @@ TEST(TimeSeriesSamplerTest, RingIsBoundedAndWindowAggregates) {
   EXPECT_DOUBLE_EQ(empty.window(10).dt_ms, 0.0);
 }
 
+TEST(TimeSeriesSamplerTest, P99CoversTheIntervalNotTheProcessLifetime) {
+  Registry registry;
+  const Histogram latency = registry.histogram("service.latency_ms");
+  TimeSeriesSampler sampler(registry, {250, /*capacity=*/16});
+  sampler.sample_now();
+
+  for (int i = 0; i < 2000; ++i) latency.record(1.0);
+  sampler.sample_now();
+  EXPECT_NEAR(sampler.series().back().p99_latency_ms, 1.0, 0.02);
+
+  // Late degradation: ten slow requests are the whole of the next interval,
+  // though only 0.5% of all requests since the start.
+  for (int i = 0; i < 10; ++i) latency.record(100.0);
+  sampler.sample_now();
+  EXPECT_GE(sampler.series().back().p99_latency_ms, 99.0);
+  EXPECT_NEAR(latency.stats().p99, 1.0, 0.02);
+  EXPECT_GE(sampler.window(2).p99_latency_ms, 99.0);
+
+  // An interval without requests has no p99 to breach with.
+  sampler.sample_now();
+  EXPECT_DOUBLE_EQ(sampler.series().back().p99_latency_ms, 0.0);
+
+  // A registry reset between ticks starts the next interval from zero.
+  registry.reset();
+  latency.record(5.0);
+  sampler.sample_now();
+  EXPECT_NEAR(sampler.series().back().p99_latency_ms, 5.0, 0.1);
+}
+
 TEST(TimeSeriesSamplerTest, BackgroundThreadSamplesOnItsOwn) {
   Registry registry;
   const Counter admissions = registry.counter("service.admissions");
@@ -97,6 +128,25 @@ TEST(TimeSeriesSamplerTest, BackgroundThreadSamplesOnItsOwn) {
   EXPECT_NE(out.str().find("\"interval_ms\":10"), std::string::npos);
   EXPECT_NE(out.str().find("\"points\":["), std::string::npos);
   EXPECT_NE(out.str().find("\"admissions_per_sec\""), std::string::npos);
+}
+
+TEST(TimeSeriesSamplerTest, WorkRightAfterStartLandsInTheFirstInterval) {
+  Registry registry;
+  const Histogram latency = registry.histogram("service.latency_ms");
+  // The thread's own ticks are a minute apart, so the only tick that can
+  // follow the request is sample_now(); no scheduling delay moves it.
+  TimeSeriesSampler sampler(registry, {/*interval_ms=*/60000, /*capacity=*/64});
+  sampler.start();
+  // Recorded before the sampling thread may even have run: start() has
+  // already taken the baseline, so the request is not swallowed by it.
+  latency.record(100.0);
+  sampler.sample_now();
+  sampler.stop();
+  const std::vector<TimeSeriesPoint> series = sampler.series();
+  EXPECT_TRUE(std::any_of(series.begin(), series.end(),
+                          [](const TimeSeriesPoint& point) {
+                            return point.p99_latency_ms >= 99.0;
+                          }));
 }
 
 TEST(HealthModelTest, NoDataIsOk) {
